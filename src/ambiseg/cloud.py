@@ -7,9 +7,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-# Brute-force neighbor search below this point count, kd-tree above.
-# Both paths obey the same (distance, index) tie rule and agree exactly.
+# knn_query takes candidates from a kd-tree when the reference set has more
+# points than this, else from blocked brute force; both re-rank them by the
+# (squared distance, index) rule and agree exactly.
 KDTREE_CUTOFF = 4096
+# Extra candidates per query beyond k, so ties at the k-th distance are rarely
+# cut off by the candidate boundary and rows seldom take the exact fallback.
+_KNN_SLACK = 8
+# Distance entries per brute-force block of query rows: 512 KB of float64,
+# small enough for the block's temporaries to stay in cache.
+_BRUTE_BLOCK_ELEMS = 1 << 16
 
 SCENE_KINDS = ("two-rooms", "planar-boundary", "checker-columns")
 
@@ -47,12 +54,16 @@ class PointCloud:
             raise ValueError("num_classes must be >= 1")
         if lab.min() < 0 or lab.max() >= self.num_classes:
             raise ValueError("labels must lie in [0, num_classes)")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite (found NaN or inf)")
         object.__setattr__(self, "positions", _readonly(pos))
         object.__setattr__(self, "labels", _readonly(lab))
         if self.features is not None:
             feat = np.asarray(self.features, dtype=np.float64)
             if feat.ndim != 2 or feat.shape[0] != n:
                 raise ValueError(f"features must be ({n}, D), got {feat.shape}")
+            if not np.isfinite(feat).all():
+                raise ValueError("features must be finite (found NaN or inf)")
             object.__setattr__(self, "features", _readonly(feat))
 
     @property
@@ -96,27 +107,110 @@ def _select_k(d2: np.ndarray, k: int) -> np.ndarray:
     return cand[order][:k]
 
 
-def knn_indices(positions: np.ndarray, anchor: int, k: int, tree: cKDTree | None = None) -> np.ndarray:
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between broadcast point arrays (..., 3) by the library rule.
+
+    The coordinate terms are summed left to right, ``(dx^2 + dy^2) + dz^2``,
+    which is the float sequence ``np.sum(d ** 2, axis=-1)`` produces, so every
+    neighbour search and its test oracles rank by identical values.
+    """
+    d = np.asarray(a) - np.asarray(b)
+    return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+
+
+def _rank(cand: np.ndarray, cd2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each row of candidates and their squared distances by (distance, index)."""
+    order = np.lexsort((cand, cd2), axis=1)
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(cd2, order, axis=1)
+
+
+def _brute_candidates(ref: np.ndarray, queries: np.ndarray, kc: int, k: int,
+                      out: np.ndarray) -> None:
+    """Exact k-NN by blocks of query rows: column-wise distances, argpartition, re-rank."""
+    n = ref.shape[0]
+    rx, ry, rz = (np.ascontiguousarray(ref[:, j]) for j in range(3))
+    block = max(1, _BRUTE_BLOCK_ELEMS // n)
+    for lo in range(0, queries.shape[0], block):
+        q = queries[lo:lo + block]
+        b = q.shape[0]
+        d2 = np.subtract.outer(q[:, 0], rx)
+        d2 *= d2
+        t = np.subtract.outer(q[:, 1], ry)
+        t *= t
+        d2 += t
+        np.subtract.outer(q[:, 2], rz, out=t)
+        t *= t
+        d2 += t
+        if kc < n:
+            cand = np.argpartition(d2, kc - 1, axis=1)[:, :kc]
+        else:
+            cand = np.broadcast_to(np.arange(n), (b, n))
+        cand, cd2 = _rank(cand, np.take_along_axis(d2, cand, axis=1))
+        out[lo:lo + b] = cand[:, :k]
+        if kc < n:
+            # A row whose k-th distance ties the last candidate may have equally
+            # near points with lower indices outside its candidates.
+            for r in np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1]):
+                out[lo + r] = _select_k(d2[r], k)
+
+
+def _kdtree_candidates(ref: np.ndarray, queries: np.ndarray, kc: int, k: int,
+                       out: np.ndarray) -> None:
+    """Exact k-NN from one batched kd-tree query, re-ranked by the library rule."""
+    n = ref.shape[0]
+    tree = cKDTree(ref)
+    _, cand = tree.query(queries, k=kc)
+    cand = cand.reshape(queries.shape[0], kc)
+    cand, cd2 = _rank(cand, sq_dists(ref[cand], queries[:, None, :]))
+    out[:] = cand[:, :k]
+    if kc == n:
+        return
+    # The tree ranks by its own rounding of the distance. Points outside the
+    # candidates are at least as far as the last one up to that rounding, so
+    # the top k are settled only when the k-th distance stays clearly below it.
+    unsettled = np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9))
+    if unsettled.size == 0:
+        return
+    # Inflate the radius slightly so boundary ties survive metric rounding,
+    # then re-rank the ball with the exact rule.
+    radii = np.sqrt(cd2[unsettled, k - 1]) * (1 + 1e-9) + 1e-300
+    balls = tree.query_ball_point(queries[unsettled], radii)
+    for r, ball in zip(unsettled, balls):
+        ball = np.asarray(ball, dtype=np.int64)
+        d2 = sq_dists(ref[ball], queries[r])
+        out[r] = ball[np.lexsort((ball, d2))][:k]
+
+
+def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """(m, k) indices of the k nearest ``ref`` rows to each query row.
+
+    Ranks by (squared distance from ``sq_dists``, index): ties go to the lower
+    index. Candidates come from one batched call, a kd-tree above
+    ``KDTREE_CUTOFF`` reference points and blocked brute force at or below it;
+    both re-rank them exactly, so the two paths agree bit for bit.
+    """
+    ref = np.asarray(ref, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    n = ref.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"K={k} must satisfy 1 <= K <= n={n}")
+    out = np.empty((queries.shape[0], k), dtype=np.int64)
+    if queries.shape[0] == 0:
+        return out
+    kc = min(k + _KNN_SLACK, n)
+    if n > KDTREE_CUTOFF:
+        _kdtree_candidates(ref, queries, kc, k, out)
+    else:
+        _brute_candidates(ref, queries, kc, k, out)
+    return out
+
+
+def knn_indices(positions: np.ndarray, anchor: int, k: int) -> np.ndarray:
     """K nearest point indices to positions[anchor] by (squared distance, index)."""
     n = positions.shape[0]
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} out of range for {n} points")
-    if not 1 <= k <= n:
-        raise ValueError(f"K={k} must satisfy 1 <= K <= n={n}")
-    p = positions[anchor]
-    if n <= KDTREE_CUTOFF and tree is None:
-        d2 = np.sum((positions - p) ** 2, axis=1)
-        return _select_k(d2, k)
-    if tree is None:
-        tree = cKDTree(positions)
-    dist, _ = tree.query(p, k=k)
-    r = float(np.max(np.atleast_1d(dist)))
-    # Inflate the radius slightly so boundary ties survive metric rounding,
-    # then re-rank candidates with the exact brute-force rule.
-    cand = np.asarray(sorted(tree.query_ball_point(p, r * (1 + 1e-9) + 1e-300)), dtype=np.int64)
-    d2 = np.sum((positions[cand] - p) ** 2, axis=1)
-    order = np.lexsort((cand, d2))
-    return cand[order][:k]
+    return knn_query(positions, positions[anchor:anchor + 1], k)[0]
 
 
 def knn(cloud: PointCloud, anchor: int, k: int) -> NeighborList:
@@ -127,19 +221,7 @@ def knn(cloud: PointCloud, anchor: int, k: int) -> NeighborList:
 
 def knn_all(positions: np.ndarray, k: int) -> np.ndarray:
     """(n, k) neighbor index matrix for every point, same rule as knn()."""
-    n = positions.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"K={k} must satisfy 1 <= K <= n={n}")
-    out = np.empty((n, k), dtype=np.int64)
-    if n <= KDTREE_CUTOFF:
-        for i in range(n):
-            d2 = np.sum((positions - positions[i]) ** 2, axis=1)
-            out[i] = _select_k(d2, k)
-    else:
-        tree = cKDTree(positions)
-        for i in range(n):
-            out[i] = knn_indices(positions, i, k, tree=tree)
-    return out
+    return knn_query(positions, positions, k)
 
 
 def fps(cloud: PointCloud, m: int, start: int = 0) -> np.ndarray:
@@ -148,6 +230,8 @@ def fps(cloud: PointCloud, m: int, start: int = 0) -> np.ndarray:
 
 
 def fps_indices(positions: np.ndarray, m: int, start: int = 0) -> np.ndarray:
+    """Greedy farthest point sampling over an (n, 3) array; ties by ascending index."""
+    positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must satisfy 1 <= m <= n={n}")
@@ -155,11 +239,22 @@ def fps_indices(positions: np.ndarray, m: int, start: int = 0) -> np.ndarray:
         raise ValueError(f"start {start} out of range for {n} points")
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = start
-    mind2 = np.sum((positions - positions[start]) ** 2, axis=1)
-    for t in range(1, m):
+    # Contiguous coordinate columns and preallocated buffers: each step forms
+    # (dx^2 + dy^2) + dz^2 in place, the same float sequence as sq_dists.
+    cols = [np.ascontiguousarray(positions[:, j]) for j in range(3)]
+    mind2 = sq_dists(positions, positions[start])
+    d2 = np.empty(n)
+    t = np.empty(n)
+    for i in range(1, m):
         nxt = int(np.argmax(mind2))  # argmax picks the lowest tied index
-        chosen[t] = nxt
-        np.minimum(mind2, np.sum((positions - positions[nxt]) ** 2, axis=1), out=mind2)
+        chosen[i] = nxt
+        np.subtract(cols[0], cols[0][nxt], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for c in cols[1:]:
+            np.subtract(c, c[nxt], out=t)
+            np.multiply(t, t, out=t)
+            np.add(d2, t, out=d2)
+        np.minimum(mind2, d2, out=mind2)
     return chosen
 
 

@@ -1,9 +1,11 @@
 """Simplified set-abstraction encoder-decoder with the joint training objective.
 
 Encoder stages downsample by farthest point sampling and aggregate neighbor
-features with a shared MLP + max pool; decoder stages upsample by nearest
-neighbor and fuse skip features. Contrastive, regression, and cross-entropy
-objectives combine into one differentiable total.
+features with a shared MLP + max pool; decoder stages upsample by 3-NN
+inverse-squared-distance interpolation, the three nearest coarse points chosen
+by the (squared distance, index) rule of ``cloud.knn_query``, and fuse skip
+features. Contrastive, regression, and cross-entropy objectives combine into
+one differentiable total.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from ambiseg import autograd as ag
 from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.apm import ApmBlock, block_forward, concat_input, init_apm_block, loss_reg
-from ambiseg.cloud import PointCloud, fps_indices, knn_all
+from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query, sq_dists
 from ambiseg.config import Config
 from ambiseg.margin import MarginConfig, margin_map
 from ambiseg.refine import RefineConfig, build_masks
@@ -174,18 +176,10 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[St
         idx = fps_indices(parent_pos, n_s, start=0)
         pos = parent_pos[idx]
         lab = mine_labels(parent_lab, idx) if parent_lab is not None else None
-        k_enc = min(cfg.k, parent_pos.shape[0])
-        enc_nbr = np.empty((n_s, k_enc), dtype=np.int64)
-        for row, center in enumerate(pos):
-            d2 = np.sum((parent_pos - center) ** 2, axis=1)
-            enc_nbr[row] = np.lexsort((np.arange(d2.size), d2))[:k_enc]
-        up_d2 = (np.sum(parent_pos ** 2, axis=1)[:, None]
-                 - 2.0 * parent_pos @ pos.T + np.sum(pos ** 2, axis=1)[None, :])
+        enc_nbr = knn_query(parent_pos, pos, min(cfg.k, parent_pos.shape[0]))
         # 3-NN inverse-squared-distance interpolation weights
-        k_up = min(3, n_s)
-        up_idx = np.argsort(up_d2, axis=1, kind="stable")[:, :k_up]
-        up_d2_sel = np.take_along_axis(up_d2, up_idx, axis=1)
-        inv = 1.0 / np.maximum(up_d2_sel, 1e-12)
+        up_idx = knn_query(pos, parent_pos, min(3, n_s))
+        inv = 1.0 / np.maximum(sq_dists(pos[up_idx], parent_pos[:, None, :]), 1e-12)
         up_w = inv / inv.sum(axis=1, keepdims=True)
         kt = min(cfg.k_tilde, n_s)
         mr_nbr = knn_all(pos, kt)[:, 1:]

@@ -53,6 +53,21 @@ def test_bad_override_is_usage_error(tmp_path):
                 "--set", "bogus=1"]) == cli.EXIT_USAGE
 
 
+def test_non_finite_coordinate_is_usage_error(tmp_path, capsys):
+    cloud_path = tmp_path / "scene.txt"
+    assert run(["synth", "--kind", "two-rooms", "--points-per-class", "16",
+                "--out", str(cloud_path)]) == 0
+    lines = cloud_path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+    lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+    cloud_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["ambiguity", "--in", str(cloud_path),
+                "--out", str(tmp_path / "o.csv")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
 def test_train_predict_eval_roundtrip(tmp_path):
     cloud_path = tmp_path / "scene.txt"
     ckpt = tmp_path / "model.ckpt"

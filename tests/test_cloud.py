@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambiseg import cloud as cl
 from ambiseg.cloud import (PointCloud, SceneSpec, fps_indices, knn, knn_all,
-                           knn_indices, rigid_transform, synth_scene)
+                           knn_indices, knn_query, rigid_transform, synth_scene)
+from ambiseg.config import Config
+from ambiseg.network import build_geometry
 
 
 def brute_knn(positions, anchor, k):
@@ -25,6 +29,18 @@ def test_pointcloud_validation():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((3, 3)), np.zeros(3, dtype=int), 2,
                    features=np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pointcloud_rejects_non_finite_values(bad):
+    pos = np.zeros((3, 3))
+    pos[1, 2] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        PointCloud(pos, np.zeros(3, dtype=int), 1)
+    feat = np.zeros((3, 2))
+    feat[2, 0] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        PointCloud(np.zeros((3, 3)), np.zeros(3, dtype=int), 1, features=feat)
 
 
 def test_pointcloud_arrays_are_readonly():
@@ -70,6 +86,9 @@ def test_knn_validation():
         knn_indices(pos, 0, 6)
     with pytest.raises(ValueError):
         knn_all(pos, 0)
+    with pytest.raises(ValueError):
+        knn_query(pos, np.zeros((2, 3)), 6)
+    assert knn_query(pos, np.zeros((0, 3)), 2).shape == (0, 2)
 
 
 def test_knn_wrapper_includes_anchor_first_on_distinct_points():
@@ -78,6 +97,88 @@ def test_knn_wrapper_includes_anchor_first_on_distinct_points():
     nb = knn(c, 7, 6)
     assert nb.anchor == 7
     assert nb.neighbors[0] == 7  # anchor is its own zero-distance neighbor
+
+
+def knn_oracle(ref, queries, k):
+    """Reference k-NN: every ref row sorted by (np.sum of squared differences, index)."""
+    rows = [np.lexsort((np.arange(ref.shape[0]), np.sum((ref - q) ** 2, axis=1)))[:k]
+            for q in queries]
+    return np.asarray(rows, dtype=np.int64).reshape(len(queries), k)
+
+
+@pytest.fixture(params=["kdtree", "brute"])
+def knn_path(request, monkeypatch):
+    """Select a knn_query candidate path for a reference set of n points."""
+    def use(n):
+        monkeypatch.setattr(cl, "KDTREE_CUTOFF", 1 if request.param == "kdtree" else n)
+    return use
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Count the rows that leave the batched candidates for the exact fallback."""
+    count = [0]
+    select_k = cl._select_k
+
+    def counting_select_k(d2, k):
+        count[0] += 1
+        return select_k(d2, k)
+
+    class CountingTree(cl.cKDTree):
+        def query_ball_point(self, x, r, *args, **kwargs):
+            count[0] += len(x)
+            return super().query_ball_point(x, r, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "_select_k", counting_select_k)
+    monkeypatch.setattr(cl, "cKDTree", CountingTree)
+    return lambda: count[0]
+
+
+def test_knn_query_matches_oracle(knn_path):
+    rng = np.random.default_rng(21)
+    ref = rng.normal(size=(300, 3))
+    ref[150:180] = ref[:30]  # exact duplicates
+    # queries off the reference set, plus some that coincide with duplicated rows
+    queries = np.vstack([rng.normal(size=(40, 3)), ref[:10], ref[160:165]])
+    knn_path(ref.shape[0])
+    for k in (1, 3, 16, 40, 300):
+        np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
+
+
+def test_knn_query_lattice_ties_take_the_exact_fallback(knn_path, fallback_rows):
+    pos = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
+    knn_path(pos.shape[0])
+    for k in (8, 24):
+        np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
+    assert fallback_rows() > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 400), extent=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       k_frac=st.floats(0.0, 1.0))
+def test_knn_query_property_on_integer_grids(n, extent, seed, k_frac):
+    # integer-grid clouds are full of exact distance ties and duplicates
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(0, extent + 1, size=(n, 3)).astype(np.float64)
+    # queries on the half-step grid, so some sit between reference points
+    queries = rng.integers(0, 2 * extent + 1, size=(25, 3)) / 2.0
+    k = 1 + int(k_frac ** 2 * (n - 1))
+    expected = knn_oracle(ref, queries, k)
+    with pytest.MonkeyPatch.context() as mp:
+        for cutoff in (1, n):
+            mp.setattr(cl, "KDTREE_CUTOFF", cutoff)
+            np.testing.assert_array_equal(knn_query(ref, queries, k), expected)
+
+
+def test_build_geometry_upsampling_follows_the_tie_rule_on_a_lattice():
+    cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=500))
+    parent = cloud.positions
+    for geo in build_geometry(cloud, Config(), with_labels=False):
+        np.testing.assert_array_equal(geo.up_idx, knn_oracle(geo.positions, parent, 3))
+        d2 = np.sum((geo.positions[geo.up_idx] - parent[:, None, :]) ** 2, axis=2)
+        inv = 1.0 / np.maximum(d2, 1e-12)
+        np.testing.assert_array_equal(geo.up_w, inv / inv.sum(axis=1, keepdims=True))
+        parent = geo.positions
 
 
 def fps_reference(positions, m, start):
@@ -96,6 +197,10 @@ def test_fps_matches_reference():
     for m in (1, 2, 20, 80):
         np.testing.assert_array_equal(fps_indices(pos, m, start=3),
                                       fps_reference(pos, m, 3))
+    # tie-heavy lattice: equal distances must resolve to the same lowest index
+    lattice = synth_scene(SceneSpec("planar-boundary", points_per_class=60)).positions
+    np.testing.assert_array_equal(fps_indices(lattice, 40, start=0),
+                                  fps_reference(lattice, 40, 0))
 
 
 def test_fps_tie_prefers_lowest_index():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ def test_build_geometry_shapes():
         assert geo.ambiguities.shape == (n_s,)
         np.testing.assert_allclose(geo.margins, 0.5 - geo.ambiguities)
         parent_n = n_s
+
+
+def test_build_geometry_memory_stays_linear_in_n():
+    # The 8,193-point cloud's dense (n_parent x n_s) upsampling matrix alone
+    # would be 134 MB; the neighbour searches keep O(n k) state plus a
+    # bounded brute-force block.
+    cloud = synth_scene(SceneSpec("two-rooms", points_per_class=2731,
+                                  noise_sigma=0.02, seed=0))
+    tracemalloc.start()
+    try:
+        build_geometry(cloud, Config(), with_labels=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"build_geometry peaked at {peak / 2**20:.1f} MB"
 
 
 def test_forward_shapes_and_modes():
