@@ -128,6 +128,6 @@ def loss_reg(pred, target) -> float | ag.Tensor:
 def _squeeze_col(x: ag.Tensor) -> ag.Tensor:
     def bwd(g):
         if x.requires_grad:
-            x._accum(g[:, None])
+            x._accum(g[:, None].copy())
 
     return ag.Tensor(x.data[:, 0], parents=(x,), backward=bwd)

@@ -3,12 +3,17 @@
 Closed primitive set: affine, sigmoid, relu, concat, batch_norm, elementwise
 add/mul, reductions, row gather/scatter, neighborhood max, cross entropy, the
 contrastive loss, and mean absolute error. No general broadcasting.
+
+Ownership rule: a backward closure hands ``_accum`` an array it owns, never
+``g`` itself or a view of it. The first ``_accum`` on a node keeps that array
+as the node's ``.grad`` without copying, and later ones add into it in place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 class Tensor:
@@ -35,8 +40,9 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.asarray(g)
+        else:
+            self.grad += g
 
     def __add__(self, other):
         return add(self, _wrap(other))
@@ -104,9 +110,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g)
+            a._accum(g.copy())
         if b.requires_grad:
-            b._accum(g)
+            b._accum(g.copy())
 
     return Tensor(a.data + b.data, parents=(a, b), backward=bwd)
 
@@ -156,15 +162,19 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    pos = x.data >= 0
-    y = np.empty_like(x.data)
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without overflow."""
+    e = np.abs(x.data)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.where(x.data >= 0, 1.0, e)
+    e += 1.0
+    y /= e
 
     def bwd(g):
         if x.requires_grad:
-            x._accum(g * y * (1.0 - y))
+            gy = g * y
+            gy *= 1.0 - y
+            x._accum(gy)
 
     return Tensor(y, parents=(x,), backward=bwd)
 
@@ -224,10 +234,21 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
         off = 0
         for p, w in zip(parts, widths):
             if p.requires_grad:
-                p._accum(g[:, off:off + w])
+                p._accum(g[:, off:off + w].copy())
             off += w
 
     return Tensor(out, parents=tuple(parts), backward=bwd)
+
+
+def _row_operator(idx: np.ndarray, weights: np.ndarray, n: int) -> csr_matrix:
+    """(m, n) CSR operator whose row i holds weights[i, :] at columns idx[i, :].
+
+    ``S @ x`` is ``sum_h weights[:, h, None] * x[idx[:, h]]``; ``S.T @ g`` scatters
+    rows back, adding in the flattened order of ``idx``, as ``np.add.at`` does.
+    """
+    m, h = idx.shape
+    indptr = np.arange(0, m * h + 1, h)
+    return csr_matrix((np.ravel(weights), idx.ravel(), indptr), shape=(m, n))
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -235,9 +256,7 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            np.add.at(acc, idx, g)
-            x._accum(acc)
+            x._accum(_row_operator(idx[:, None], np.ones((idx.size, 1)), x.data.shape[0]).T @ g)
 
     return Tensor(x.data[idx], parents=(x,), backward=bwd)
 
@@ -282,29 +301,36 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     xd = x.data
     if mode == "train":
         mean = xd.mean(axis=0)
-        var = xd.var(axis=0)
+        xhat = xd - mean
+        # np.var's float sequence: the mean of the squared deviations
+        out = np.multiply(xhat, xhat)
+        var = out.sum(axis=0) / xd.shape[0]
         if update_running:
             state.running_mean = momentum * state.running_mean + (1 - momentum) * mean
             state.running_var = momentum * state.running_var + (1 - momentum) * var
     else:
-        mean = state.running_mean
         var = state.running_var
+        xhat = xd - state.running_mean
+        out = np.empty_like(xd)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean) * inv
-    out = gamma.data * xhat + beta.data
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def bwd(g):
+        buf = np.empty_like(g)
         if gamma.requires_grad:
-            gamma._accum(np.sum(g * xhat, axis=0))
+            gamma._accum(np.multiply(g, xhat, out=buf).sum(axis=0))
         if beta.requires_grad:
             beta._accum(np.sum(g, axis=0))
         if x.requires_grad:
             gx = g * gamma.data
             if mode == "train":
-                x._accum(inv * (gx - gx.mean(axis=0)
-                                - xhat * np.mean(gx * xhat, axis=0)))
-            else:
-                x._accum(gx * inv)
+                proj = np.multiply(gx, xhat, out=buf).mean(axis=0)
+                gx -= gx.mean(axis=0)
+                gx -= np.multiply(xhat, proj, out=buf)
+            gx *= inv
+            x._accum(gx)
 
     return Tensor(out, parents=(x, gamma, beta), backward=bwd)
 
@@ -370,9 +396,7 @@ def weighted_rows(x: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            np.add.at(acc, idx.ravel(), (w[..., None] * g[:, None, :]).reshape(-1, x.data.shape[1]))
-            x._accum(acc)
+            x._accum(_row_operator(idx, w, x.data.shape[0]).T @ g)
 
     return Tensor(out, parents=(x,), backward=bwd)
 
@@ -390,9 +414,10 @@ def weighted_gather_blend(x: Tensor, nbr: np.ndarray, self_coef: np.ndarray,
 
     def bwd(g):
         if x.requires_grad:
-            acc = sc * g
-            np.add.at(acc, nbr.ravel(), (w[..., None] * g[:, None, :]).reshape(-1, x.data.shape[1]))
-            x._accum(acc)
+            n = x.data.shape[0]
+            self_and_nbr = np.concatenate([np.arange(n)[:, None], nbr], axis=1)
+            coefs = np.concatenate([sc, w], axis=1)
+            x._accum(_row_operator(self_and_nbr, coefs, n).T @ g)
 
     return Tensor(out, parents=(x,), backward=bwd)
 

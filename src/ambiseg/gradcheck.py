@@ -61,6 +61,35 @@ def check_loss_ce(seed: int, step: float = 1e-5) -> float:
     return ag.finite_diff_check(lambda: ag.cross_entropy(scores, labels), [scores], step)
 
 
+def check_scatter(seed: int, step: float = 1e-5) -> float:
+    """Row gathers, weighted rows and the refinement blend chained into cross entropy.
+
+    Repeated indices make the backward scatters add several rows into one, and
+    non-zero self coefficients reach the blend's self term, which the default
+    configuration never does.
+    """
+    rng = np.random.default_rng(seed)
+    n, d, m = 6, 3, 9
+    x = ag.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    gather_idx = np.array([0, 0, 3, 5, 1, 3, 3, 2, 4])
+    rows_idx = rng.integers(0, m, size=(n, 3))
+    rows_idx[0] = [2, 2, 7]
+    rows_w = rng.uniform(0.1, 1.0, size=(n, 3))
+    blend_nbr = rng.integers(0, n, size=(n, 2))
+    blend_nbr[1] = [1, 4]
+    self_coef = rng.uniform(0.2, 1.0, size=n)
+    blend_w = rng.uniform(0.1, 1.0, size=(n, 2))
+    labels = rng.integers(0, d, size=n)
+
+    def f():
+        g = ag.gather_rows(x, gather_idx)
+        r = ag.weighted_rows(g, rows_idx, rows_w)
+        b = ag.weighted_gather_blend(r, blend_nbr, self_coef, blend_w)
+        return ag.cross_entropy(b, labels)
+
+    return ag.finite_diff_check(f, [x], step)
+
+
 def _tiny_cloud(rng: np.random.Generator, n: int = 48, num_classes: int = 2) -> PointCloud:
     positions = rng.normal(size=(n, 3))
     labels = (positions[:, 0] > 0).astype(np.int64) % num_classes
@@ -94,6 +123,7 @@ def run_gradcheck(seed: int = 0, verbose: bool = False) -> float:
         ("loss_reg", check_loss_reg(seed + 1)),
         ("loss_ce", check_loss_ce(seed + 2)),
         ("joint", check_joint(seed + 3)),
+        ("scatter", check_scatter(seed + 4)),
     ]
     worst = 0.0
     for name, err in checks:

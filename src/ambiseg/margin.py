@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ambiseg.ambiguity import AmbiguityMap, NeighborPartition
+from ambiseg.autograd import _row_operator
 
 # Lower clamp on feature norms in cosine similarity; untrained features can be
 # nearly zero.
@@ -136,19 +137,21 @@ def _loss_am_core(feats, nbr, intra, margins, tau):
 
 
 def _chain_to_features(feats, nbr, grad_s, norms, unit, sims):
-    """Chain gradients through cosine similarity to both ends of each pair."""
-    n, dim = feats.shape
-    denom = np.maximum(norms, NORM_EPSILON)
-    active = (norms > NORM_EPSILON).astype(np.float64)
-    unit_nbr = unit[nbr]
-    g = grad_s[..., None]
-    # anchor side: d sim / d f_i = (u_j - sim * u_i) / |f_i|
-    anchor_term = unit_nbr - sims[..., None] * unit[:, None, :] * active[:, None, None]
-    grad = np.sum(g * anchor_term, axis=1) / denom[:, None]
-    # neighbor side: d sim / d f_j = (u_i - sim * u_j) / |f_j|
-    act_nbr = active[nbr][..., None]
-    nbr_term = (unit[:, None, :] - sims[..., None] * unit_nbr * act_nbr) / denom[nbr][..., None]
-    np.add.at(grad, nbr.ravel(), (g * nbr_term).reshape(-1, dim))
+    """Chain gradients through cosine similarity to both ends of each pair.
+
+    With G the (n, n) operator holding grad_s[i, k] at (i, nbr[i, k]):
+    anchor side  d sim / d f_i = (u_j - sim * u_i) / |f_i|  sums to G @ u,
+    neighbor side d sim / d f_j = (u_i - sim * u_j) / |f_j|  sums to G.T @ u,
+    each less its sim-weighted self term (zero for clamped, inactive rows).
+    """
+    n = feats.shape[0]
+    denom = np.maximum(norms, NORM_EPSILON)[:, None]
+    active = (norms > NORM_EPSILON)[:, None]
+    gs = grad_s * sims
+    op = _row_operator(nbr, grad_s, n)
+    grad = (op @ unit - gs.sum(axis=1)[:, None] * active * unit) / denom
+    grad += (op.T @ unit - np.bincount(nbr.ravel(), gs.ravel(), minlength=n)[:, None]
+             * active * unit) / denom
     return grad
 
 

@@ -36,18 +36,6 @@ class LossReport:
 
 
 @dataclass
-class StageState:
-    stage: int
-    point_indices: np.ndarray
-    positions: np.ndarray
-    labels: np.ndarray | None
-    features: np.ndarray | None = None
-    ambiguities: np.ndarray | None = None
-    margins: np.ndarray | None = None
-    predicted: np.ndarray | None = None
-
-
-@dataclass
 class StageGeometry:
     indices: np.ndarray          # into the parent stage's point list
     positions: np.ndarray
@@ -182,18 +170,18 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[St
         inv = 1.0 / np.maximum(sq_dists(pos[up_idx], parent_pos[:, None, :]), 1e-12)
         up_w = inv / inv.sum(axis=1, keepdims=True)
         kt = min(cfg.k_tilde, n_s)
-        mr_nbr = knn_all(pos, kt)[:, 1:]
+        k_aef = min(cfg.k, n_s)
+        # under the tie rule the first columns of a wider search are the narrower one
+        nbrs = knn_all(pos, max(kt, k_aef) if lab is not None else kt)
         geo = StageGeometry(indices=idx, positions=pos, labels=lab,
-                            enc_nbr=enc_nbr, up_idx=up_idx, up_w=up_w, mr_nbr=mr_nbr)
+                            enc_nbr=enc_nbr, up_idx=up_idx, up_w=up_w, mr_nbr=nbrs[:, 1:kt])
         if lab is not None:
             stage_cloud = PointCloud(pos, lab, cloud.num_classes)
-            k_aef = min(cfg.k, n_s)
             amb = ambiguity_map(stage_cloud, AefConfig(k=k_aef, beta=cfg.beta), stage=s)
             geo.ambiguities = amb.values
             geo.margins = margin_map(amb, mcfg).values
-            nbrs = knn_all(pos, k_aef)
-            geo.nbr_matrix = nbrs
-            geo.intra_mask = lab[nbrs] == lab[:, None]
+            geo.nbr_matrix = nbrs[:, :k_aef]
+            geo.intra_mask = lab[geo.nbr_matrix] == lab[:, None]
         geoms.append(geo)
         parent_pos, parent_lab = pos, lab
     return geoms
@@ -206,7 +194,6 @@ class ForwardResult:
     apm_train_out: dict[int, ag.Tensor]
     pred_amb: dict[int, np.ndarray]          # infer-mode predictions (constants)
     geometry: list[StageGeometry]
-    stages: list[StageState]
 
 
 def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
@@ -289,15 +276,8 @@ def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
     hidden = model.head_hidden(head_in, mode, update_running)
     scores = ag.affine(hidden, model.head_w, model.head_b)
 
-    states = []
-    for s in range(1, cfg.stages + 1):
-        geo = geometry[s - 1]
-        states.append(StageState(stage=s, point_indices=geo.indices, positions=geo.positions,
-                                 labels=geo.labels, features=stage_feats[s].data,
-                                 ambiguities=geo.ambiguities, margins=geo.margins,
-                                 predicted=pred_amb[s]))
     return ForwardResult(scores=scores, stage_feats=stage_feats, apm_train_out=apm_train_out,
-                         pred_amb=pred_amb, geometry=geometry, stages=states)
+                         pred_amb=pred_amb, geometry=geometry)
 
 
 def loss_joint(model: SegModel, result: ForwardResult, labels: np.ndarray) -> tuple[ag.Tensor, LossReport]:

@@ -170,6 +170,113 @@ def test_weighted_gather_blend():
                  [x]) <= 1e-7
 
 
+def textbook_batch_norm(x, gamma, beta, mean_run, var_run, mode, g,
+                        eps=1e-5, momentum=0.9):
+    """Batch norm and its closed-form backward written with np.var, out of place."""
+    if mode == "train":
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        mean_run = momentum * mean_run + (1 - momentum) * mean
+        var_run = momentum * var_run + (1 - momentum) * var
+    else:
+        mean, var = mean_run, var_run
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    out = gamma * xhat + beta
+    gx = g * gamma
+    if mode == "train":
+        gx = inv * (gx - gx.mean(axis=0) - xhat * np.mean(gx * xhat, axis=0))
+    else:
+        gx = gx * inv
+    return out, gx, np.sum(g * xhat, axis=0), np.sum(g, axis=0), mean_run, var_run
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batch_norm_is_bit_equal_to_the_textbook_formula(mode):
+    rng = np.random.default_rng(11)
+    for n, d in [(8, 3), (500, 32), (37, 1)]:
+        x = ag.Tensor(3.0 * rng.normal(size=(n, d)) + 1.0, requires_grad=True)
+        gamma = ag.Tensor(rng.normal(size=d), requires_grad=True)
+        beta = ag.Tensor(rng.normal(size=d), requires_grad=True)
+        state = ag.BatchNormState(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+        g = rng.normal(size=(n, d))
+        expected = textbook_batch_norm(x.data, gamma.data, beta.data, state.running_mean,
+                                       state.running_var, mode, g)
+        out = ag.batch_norm(x, gamma, beta, state, mode=mode)
+        out._backward(g)
+        got = (out.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var)
+        for name, a, b in zip(("out", "d_x", "d_gamma", "d_beta", "running_mean",
+                               "running_var"), got, expected):
+            np.testing.assert_array_equal(a, b, err_msg=f"{mode} {n}x{d} {name}")
+
+
+def test_sigmoid_is_bit_equal_to_the_two_branch_formula():
+    rng = np.random.default_rng(12)
+    x = np.concatenate([20.0 * rng.normal(size=1000),
+                        [800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0]])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expected[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    t = ag.Tensor(x, requires_grad=True)
+    y = ag.sigmoid(t)
+    np.testing.assert_array_equal(y.data.view(np.int64), expected.view(np.int64))
+    g = rng.normal(size=x.shape)
+    y._backward(g)
+    np.testing.assert_array_equal(t.grad, g * expected * (1.0 - expected))
+
+
+def add_at_oracle(n, idx, weights, g):
+    """np.add.at scatter of weights[i, h] * g[i] into row idx[i, h]."""
+    acc = np.zeros((n, g.shape[1]))
+    np.add.at(acc, idx.ravel(), (weights[..., None] * g[:, None, :]).reshape(-1, g.shape[1]))
+    return acc
+
+
+def test_scatter_backwards_match_add_at():
+    rng = np.random.default_rng(13)
+    n, m, d = 40, 300, 5
+    g = rng.normal(size=(m, d))
+    idx = rng.integers(0, n, size=m)
+    x = ag.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    ag.gather_rows(x, idx)._backward(g)
+    np.testing.assert_array_equal(x.grad, add_at_oracle(n, idx[:, None], np.ones((m, 1)), g))
+
+    idx3 = rng.integers(0, n, size=(m, 3))
+    idx3[0] = [4, 4, 4]
+    w = rng.uniform(size=(m, 3))
+    x = ag.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    ag.weighted_rows(x, idx3, w)._backward(g)
+    np.testing.assert_array_equal(x.grad, add_at_oracle(n, idx3, w, g))
+
+    # the blend scatters its self term in another order: equal to rounding
+    nbr = rng.integers(0, n, size=(n, 3))
+    nbr[2] = [2, 2, 7]
+    sc = rng.uniform(size=n)
+    w = rng.uniform(size=(n, 3))
+    gn = rng.normal(size=(n, d))
+    x = ag.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    ag.weighted_gather_blend(x, nbr, sc, w)._backward(gn)
+    expected = sc[:, None] * gn + add_at_oracle(n, nbr, w, gn)
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-14, atol=1e-15)
+
+
+def test_shared_inputs_get_summed_gradients_without_mutating_upstream():
+    rng = np.random.default_rng(14)
+    x = ag.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = rng.normal(size=(5, 3))
+    doubled = ag.add(x, x)
+    ag.backward(ag.tsum(ag.mul(doubled, ag.Tensor(w))))
+    np.testing.assert_array_equal(doubled.grad, w)
+    np.testing.assert_array_equal(x.grad, 2.0 * w)
+
+    x = ag.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = rng.normal(size=(5, 6))
+    wide = ag.concat_cols([x, x])
+    ag.backward(ag.tsum(ag.mul(wide, ag.Tensor(w))))
+    np.testing.assert_array_equal(wide.grad, w)
+    np.testing.assert_array_equal(x.grad, w[:, :3] + w[:, 3:])
+
+
 def test_finite_diff_check_rejects_bad_step():
     x = ag.Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ambiseg.ambiguity import AmbiguityMap, NeighborPartition
-from ambiseg.margin import (ContrastBatch, MarginConfig, MarginMap, cosine_sim,
-                            contrastive_embeddings, loss_am, loss_seg, margin,
-                            margin_map)
+from ambiseg.margin import (NORM_EPSILON, ContrastBatch, MarginConfig, MarginMap,
+                            _loss_am_core, cosine_sim, contrastive_embeddings, loss_am,
+                            loss_am_indexed, loss_seg, margin, margin_map)
 
 
 def make_batch(rng, n=12, dim=5, k=4, num_classes=3, mu=-1.0, nu=0.5):
@@ -111,6 +111,40 @@ def test_gradient_matches_central_differences():
             feats[i, d] = orig
             num = (hi - lo) / (2 * step)
             assert abs(grad[i, d] - num) <= 1e-6 * max(1.0, abs(num))
+
+
+def pairwise_feature_gradient(nbr, grad_s, norms, unit, sims):
+    """Chain rule through cosine similarity with one (n, K, d) term per pair."""
+    denom = np.maximum(norms, NORM_EPSILON)
+    active = (norms > NORM_EPSILON).astype(np.float64)
+    unit_nbr = unit[nbr]
+    g = grad_s[..., None]
+    anchor = unit_nbr - sims[..., None] * unit[:, None, :] * active[:, None, None]
+    grad = np.sum(g * anchor, axis=1) / denom[:, None]
+    other = (unit[:, None, :] - sims[..., None] * unit_nbr * active[nbr][..., None]) \
+        / denom[nbr][..., None]
+    np.add.at(grad, nbr.ravel(), (g * other).reshape(-1, unit.shape[1]))
+    return grad
+
+
+def test_feature_gradient_matches_the_pairwise_formula():
+    rng = np.random.default_rng(4)
+    for n, k, dim in [(12, 4, 5), (300, 12, 16)]:
+        feats = rng.normal(size=(n, dim))
+        feats[0] = 0.0                      # zero norm
+        feats[1] = 1e-13                    # below NORM_EPSILON
+        feats[2] = 3e-14 * rng.normal(size=dim)
+        nbr = np.concatenate([np.arange(n)[:, None],
+                              rng.integers(0, n, size=(n, k - 1))], axis=1)
+        nbr[5, 1:3] = [0, 1]                # inactive rows as neighbours
+        labels = rng.integers(0, 3, size=n)
+        intra = labels[nbr] == labels[:, None]
+        margins = rng.uniform(-0.5, 0.5, size=n)
+        _, grad_s, norms, unit, sims = _loss_am_core(feats, nbr, intra, margins, 0.3)
+        _, grad = loss_am_indexed(feats, nbr, intra, margins, 0.3)
+        expected = pairwise_feature_gradient(nbr, grad_s, norms, unit, sims)
+        err = np.abs(grad - expected) / np.maximum(1.0, np.abs(expected))
+        assert err.max() <= 1e-12
 
 
 def test_all_intra_batch_contributes_nothing():

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ambiseg import autograd as ag
 from ambiseg import io as aio
-from ambiseg.cloud import PointCloud, SceneSpec, synth_scene
+from ambiseg import network
+from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config
 from ambiseg.network import (SegModel, _stage_sizes, build_geometry, forward,
                              loss_joint, mine_labels, predict, train)
@@ -47,6 +49,32 @@ def test_build_geometry_shapes():
         assert geo.ambiguities.shape == (n_s,)
         np.testing.assert_allclose(geo.margins, 0.5 - geo.ambiguities)
         parent_n = n_s
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
+    cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=300,
+                                  noise_sigma=noise, seed=3))
+    cfg = Config()
+    calls = []
+
+    def counted(pos, k):
+        calls.append(k)
+        return knn_all(pos, k)
+
+    monkeypatch.setattr(network, "knn_all", counted)
+    geoms = build_geometry(cloud, cfg, with_labels=True)
+    assert calls == [cfg.k] * cfg.stages
+    for geo in geoms:
+        n_s = geo.positions.shape[0]
+        np.testing.assert_array_equal(geo.mr_nbr, knn_all(geo.positions, cfg.k_tilde)[:, 1:])
+        np.testing.assert_array_equal(geo.nbr_matrix, knn_all(geo.positions, min(cfg.k, n_s)))
+    # the unlabelled path (predict, eval) searches only k_tilde
+    calls.clear()
+    unlabelled = build_geometry(cloud, cfg, with_labels=False)
+    assert calls == [cfg.k_tilde] * cfg.stages
+    for geo, labelled in zip(unlabelled, geoms):
+        np.testing.assert_array_equal(geo.mr_nbr, labelled.mr_nbr)
 
 
 def test_build_geometry_memory_stays_linear_in_n():
@@ -109,6 +137,20 @@ def test_training_reduces_loss_and_is_deterministic():
     assert [r.l_total for r in h0] == [r.l_total for r in h1]
     for name, arr in m0.named_arrays().items():
         np.testing.assert_array_equal(arr, m1.named_arrays()[name])
+
+
+def test_parameter_gradients_are_owned_arrays_of_the_parameter_shape():
+    cloud = small_cloud()
+    model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
+    result = forward(model, cloud, mode="train")
+    total, _ = loss_joint(model, result, cloud.labels)
+    ag.backward(total)
+    params = [p for p in model.parameters() if p.grad is not None]
+    assert params
+    for i, p in enumerate(params):
+        assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.data.shape
+        for q in params[i + 1:]:
+            assert not np.may_share_memory(p.grad, q.grad)
 
 
 def test_train_rejects_empty_dataset():
