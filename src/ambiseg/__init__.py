@@ -1,46 +1,18 @@
 """Ambiguity-aware adaptive-margin contrastive learning for point clouds."""
 
-from ambiseg.cloud import PointCloud, SceneSpec, knn, fps, rigid_transform, synth_scene
-from ambiseg.ambiguity import (
-    AefConfig,
-    AmbiguityMap,
-    ambiguity,
-    ambiguity_map,
-    closeness,
-    partition_neighbors,
-)
-from ambiseg.margin import (
-    MarginConfig,
-    MarginMap,
-    ContrastBatch,
-    contrastive_embeddings,
-    cosine_sim,
-    loss_am,
-    loss_seg,
-    margin,
-    margin_map,
-)
+from ambiseg.cloud import PointCloud, SceneSpec, rigid_transform, synth_scene
+from ambiseg.ambiguity import AefConfig, AmbiguityMap, ambiguity_map
+from ambiseg.margin import MarginConfig, MarginMap, margin_map
 
 __all__ = [
     "PointCloud",
     "SceneSpec",
-    "knn",
-    "fps",
     "rigid_transform",
     "synth_scene",
     "AefConfig",
     "AmbiguityMap",
-    "ambiguity",
     "ambiguity_map",
-    "closeness",
-    "partition_neighbors",
     "MarginConfig",
     "MarginMap",
-    "ContrastBatch",
-    "contrastive_embeddings",
-    "cosine_sim",
-    "loss_am",
-    "loss_seg",
-    "margin",
     "margin_map",
 ]

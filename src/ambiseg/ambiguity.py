@@ -7,8 +7,8 @@ gives 1.
 
 The mixed-neighbourhood sigmoid goes through libm's ``math.exp``, not numpy's
 run-time-dispatched SIMD ``np.exp``, which differs from libm by 1-2 ulp on some
-arguments. So ``ambiguity_map`` and the per-point path are bit-equal to each
-other and to a ``math.exp`` reference on any host.
+arguments. So ``ambiguity_map`` is bit-equal to a ``math.exp`` reference on
+any host.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ambiseg.cloud import PointCloud, knn, knn_all
+from ambiseg.cloud import PointCloud, knn_all
 
 
 @dataclass(frozen=True)
@@ -36,54 +36,9 @@ class AefConfig:
 
 
 @dataclass(frozen=True)
-class NeighborPartition:
-    """K-neighborhood split by label equality with the anchor.
-
-    d_plus / d_minus are squared-distance sums over the intra / inter sets;
-    the anchor contributes a zero term to d_plus.
-    """
-
-    anchor: int
-    intra: np.ndarray
-    inter: np.ndarray
-    d_plus: float
-    d_minus: float
-
-
-@dataclass(frozen=True)
-class Closeness:
-    cc_plus: float
-    cc_minus: float
-
-
-@dataclass(frozen=True)
 class AmbiguityMap:
     values: np.ndarray
     stage: int = 0
-
-
-def partition_neighbors(cloud: PointCloud, anchor: int, k: int) -> NeighborPartition:
-    """Split the anchor's K-neighborhood into intra/inter sets with distance sums."""
-    nb = knn(cloud, anchor, k).neighbors
-    d2 = np.sum((cloud.positions[nb] - cloud.positions[anchor]) ** 2, axis=1)
-    same = cloud.labels[nb] == cloud.labels[anchor]
-    return NeighborPartition(
-        anchor=anchor,
-        intra=nb[same],
-        inter=nb[~same],
-        d_plus=float(np.sum(d2 * same)),
-        d_minus=float(np.sum(d2 * ~same)),
-    )
-
-
-def closeness(part: NeighborPartition, dup_epsilon: float = 1e-9) -> Closeness:
-    """Count-over-squared-distance compactness for the intra and inter sets."""
-    cc_plus = len(part.intra) / max(part.d_plus, dup_epsilon)
-    if len(part.inter) == 0:
-        cc_minus = 0.0
-    else:
-        cc_minus = len(part.inter) / max(part.d_minus, dup_epsilon)
-    return Closeness(cc_plus=cc_plus, cc_minus=cc_minus)
 
 
 def _inverse_sigmoid(z: float) -> float:
@@ -94,28 +49,22 @@ def _inverse_sigmoid(z: float) -> float:
         return 0.0
 
 
-def ambiguity(cc: Closeness, intra_count: int, k: int, beta: float) -> float:
-    """Piecewise ambiguity: 0 for pure neighborhoods, 1 for isolated anchors,
-    otherwise an inverse sigmoid of the closeness gap."""
-    if not 1 <= intra_count <= k:
-        raise ValueError("intra_count must lie in [1, K]")
-    if intra_count == k:
-        return 0.0
-    if intra_count == 1:
-        return 1.0
-    return _inverse_sigmoid(beta * (cc.cc_plus - cc.cc_minus))
-
-
-def ambiguity_map(cloud: PointCloud, cfg: AefConfig, stage: int = 0) -> AmbiguityMap:
+def ambiguity_map(cloud: PointCloud, cfg: AefConfig, stage: int = 0,
+                  nbrs: np.ndarray | None = None) -> AmbiguityMap:
     """Ambiguity for every point.
 
-    Vectorized, but bit-equal to the per-point path and to a ``math.exp``
-    reference on any host: only the neighbour search and the closeness sums
-    run in numpy, and each mixed point's sigmoid runs in ``_inverse_sigmoid``.
+    ``nbrs`` is the (n, K) ``knn_all`` matrix when the caller already holds it;
+    without it the search runs here. Vectorized, but bit-equal to a
+    ``math.exp`` reference on any host: only the neighbour search and the
+    closeness sums run in numpy, and each mixed point's sigmoid runs in
+    ``_inverse_sigmoid``.
     """
     if cfg.k > cloud.n:
         raise ValueError(f"K={cfg.k} exceeds point count {cloud.n}")
-    nbrs = knn_all(cloud.positions, cfg.k)
+    if nbrs is None:
+        nbrs = knn_all(cloud.positions, cfg.k)
+    elif nbrs.shape != (cloud.n, cfg.k):
+        raise ValueError(f"neighbour matrix {nbrs.shape} != ({cloud.n}, {cfg.k})")
     diffs = cloud.positions[nbrs] - cloud.positions[:, None, :]
     d2 = np.sum(diffs ** 2, axis=2)
     same = cloud.labels[nbrs] == cloud.labels[:, None]

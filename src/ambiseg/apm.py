@@ -2,7 +2,9 @@
 
 Each block maps the concatenated (position, feature) vector through six
 affine -> batch-norm -> sigmoid layers down to a single value in (0, 1),
-supervised by mean absolute error against the geometric ambiguity.
+supervised by mean absolute error against the geometric ambiguity. Those
+layers are ``LinearBN`` units, the affine -> batch-norm -> activation unit the
+whole network is built from.
 """
 from __future__ import annotations
 
@@ -16,63 +18,52 @@ from ambiseg import autograd as ag
 APM_CHANNELS = (32, 16, 8, 4, 2, 1)
 
 
-@dataclass(frozen=True)
-class PredictedAmbiguity:
-    values: np.ndarray
-    stage: int
-
-
-@dataclass
-class ApmLayer:
-    w: ag.Tensor
-    b: ag.Tensor
-    gamma: ag.Tensor
-    beta: ag.Tensor
-    bn: ag.BatchNormState
-
-
-@dataclass
-class ApmBlock:
-    stage: int
-    dims: tuple[int, ...]
-    layers: list[ApmLayer] = field(default_factory=list)
-
-    def parameters(self) -> list[ag.Tensor]:
-        out = []
-        for layer in self.layers:
-            out.extend([layer.w, layer.b, layer.gamma, layer.beta])
-        return out
-
-    def named_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for t, layer in enumerate(self.layers):
-            base = f"{prefix}.l{t}"
-            out[f"{base}.w"] = layer.w.data
-            out[f"{base}.b"] = layer.b.data
-            out[f"{base}.gamma"] = layer.gamma.data
-            out[f"{base}.beta"] = layer.beta.data
-            out[f"{base}.running_mean"] = layer.bn.running_mean
-            out[f"{base}.running_var"] = layer.bn.running_var
-        return out
-
-
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-def init_apm_block(stage: int, feat_dim: int, rng: np.random.Generator) -> ApmBlock:
+class LinearBN:
+    """affine -> batch norm -> activation unit; ``act`` is "relu" or "sigmoid"."""
+
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+        self.w = ag.Tensor(glorot_uniform(rng, d_out, d_in), requires_grad=True)
+        self.b = ag.Tensor(np.zeros(d_out), requires_grad=True)
+        self.gamma = ag.Tensor(np.ones(d_out), requires_grad=True)
+        self.beta = ag.Tensor(np.zeros(d_out), requires_grad=True)
+        self.bn = ag.BatchNormState.create(d_out)
+
+    def __call__(self, x: ag.Tensor, mode: str, update_running: bool, act: str = "relu") -> ag.Tensor:
+        y = ag.affine(x, self.w, self.b)
+        y = ag.batch_norm(y, self.gamma, self.beta, self.bn, mode=mode,
+                          update_running=update_running)
+        return ag.sigmoid(y) if act == "sigmoid" else ag.relu(y)
+
+    def parameters(self):
+        return [self.w, self.b, self.gamma, self.beta]
+
+    def named_arrays(self, prefix: str):
+        return {
+            f"{prefix}.w": self.w.data,
+            f"{prefix}.b": self.b.data,
+            f"{prefix}.gamma": self.gamma.data,
+            f"{prefix}.beta": self.beta.data,
+            f"{prefix}.running_mean": self.bn.running_mean,
+            f"{prefix}.running_var": self.bn.running_var,
+        }
+
+
+@dataclass
+class ApmBlock:
+    dims: tuple[int, ...]
+    layers: list[LinearBN] = field(default_factory=list)
+
+
+def init_apm_block(feat_dim: int, rng: np.random.Generator) -> ApmBlock:
     dims = (3 + feat_dim,) + APM_CHANNELS
-    block = ApmBlock(stage=stage, dims=dims)
+    block = ApmBlock(dims=dims)
     for t in range(len(dims) - 1):
-        d_in, d_out = dims[t], dims[t + 1]
-        block.layers.append(ApmLayer(
-            w=ag.Tensor(glorot_uniform(rng, d_out, d_in), requires_grad=True),
-            b=ag.Tensor(np.zeros(d_out), requires_grad=True),
-            gamma=ag.Tensor(np.ones(d_out), requires_grad=True),
-            beta=ag.Tensor(np.zeros(d_out), requires_grad=True),
-            bn=ag.BatchNormState.create(d_out),
-        ))
+        block.layers.append(LinearBN(dims[t], dims[t + 1], rng))
     return block
 
 
@@ -96,16 +87,8 @@ def block_forward(z, block: ApmBlock, mode: str = "train",
     if x.data.shape[1] != block.dims[0]:
         raise ValueError(f"input dim {x.data.shape[1]} != block dim {block.dims[0]}")
     for layer in block.layers:
-        x = ag.affine(x, layer.w, layer.b)
-        x = ag.batch_norm(x, layer.gamma, layer.beta, layer.bn, mode=mode,
-                          update_running=update_running)
-        x = ag.sigmoid(x)
+        x = layer(x, mode, update_running, act="sigmoid")
     return x
-
-
-def predict_ambiguity(z: np.ndarray, block: ApmBlock, mode: str = "infer") -> PredictedAmbiguity:
-    out = block_forward(z, block, mode=mode, update_running=False)
-    return PredictedAmbiguity(values=out.data[:, 0].copy(), stage=block.stage)
 
 
 def loss_reg(pred, target) -> float | ag.Tensor:

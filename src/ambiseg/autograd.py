@@ -1,8 +1,9 @@
 """Minimal reverse-mode differentiation on float64 numpy arrays.
 
-Closed primitive set: affine, sigmoid, relu, concat, batch_norm, elementwise
-add/mul, reductions, row gather/scatter, neighborhood max, cross entropy, the
-contrastive loss, and mean absolute error. No general broadcasting.
+Closed primitive set, each covered by ``ambiseg gradcheck``: add, scale, affine,
+sigmoid, relu, concat_cols, gather_rows, weighted_rows, neighborhood_max,
+batch_norm, cross_entropy, contrast_loss and mae. No operator overloading and
+no general broadcasting.
 
 Ownership rule: a backward closure hands ``_accum`` an array it owns, never
 ``g`` itself or a view of it. The first ``_accum`` on a node keeps that array
@@ -35,40 +36,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def _accum(self, g):
         if self.grad is None:
             self.grad = np.asarray(g)
         else:
             self.grad += g
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def backward(output: Tensor) -> None:
@@ -115,19 +90,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accum(g.copy())
 
     return Tensor(a.data + b.data, parents=(a, b), backward=bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return Tensor(a.data * b.data, parents=(a, b), backward=bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -187,42 +149,6 @@ def relu(x: Tensor) -> Tensor:
             x._accum(g * mask)
 
     return Tensor(x.data * mask, parents=(x,), backward=bwd)
-
-
-def log(x: Tensor) -> Tensor:
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g / x.data)
-
-    return Tensor(np.log(x.data), parents=(x,), backward=bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g * y)
-
-    return Tensor(y, parents=(x,), backward=bwd)
-
-
-def tsum(x: Tensor) -> Tensor:
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(np.full_like(x.data, float(g)))
-
-    return Tensor(np.sum(x.data), parents=(x,), backward=bwd)
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(np.full_like(x.data, float(g) / n))
-
-    return Tensor(np.mean(x.data), parents=(x,), backward=bwd)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -397,27 +323,6 @@ def weighted_rows(x: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
     def bwd(g):
         if x.requires_grad:
             x._accum(_row_operator(idx, w, x.data.shape[0]).T @ g)
-
-    return Tensor(out, parents=(x,), backward=bwd)
-
-
-def weighted_gather_blend(x: Tensor, nbr: np.ndarray, self_coef: np.ndarray,
-                          nbr_weights: np.ndarray) -> Tensor:
-    """out_i = self_coef_i * x_i + sum_h nbr_weights_{i,h} * x_{nbr_{i,h}}.
-
-    Coefficients are constants (mask logic is not differentiated).
-    """
-    nbr = np.asarray(nbr, dtype=np.int64)
-    sc = np.asarray(self_coef, dtype=np.float64)[:, None]
-    w = np.asarray(nbr_weights, dtype=np.float64)
-    out = sc * x.data + np.einsum("nh,nhd->nd", w, x.data[nbr])
-
-    def bwd(g):
-        if x.requires_grad:
-            n = x.data.shape[0]
-            self_and_nbr = np.concatenate([np.arange(n)[:, None], nbr], axis=1)
-            coefs = np.concatenate([sc, w], axis=1)
-            x._accum(_row_operator(self_and_nbr, coefs, n).T @ g)
 
     return Tensor(out, parents=(x,), backward=bwd)
 

@@ -72,14 +72,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class NeighborList:
-    """K nearest neighbors of an anchor, sorted by (squared distance, index)."""
-
-    anchor: int
-    neighbors: np.ndarray
-
-
-@dataclass(frozen=True)
 class SceneSpec:
     kind: str
     points_per_class: int = 256
@@ -205,28 +197,9 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def knn_indices(positions: np.ndarray, anchor: int, k: int) -> np.ndarray:
-    """K nearest point indices to positions[anchor] by (squared distance, index)."""
-    n = positions.shape[0]
-    if not 0 <= anchor < n:
-        raise ValueError(f"anchor {anchor} out of range for {n} points")
-    return knn_query(positions, positions[anchor:anchor + 1], k)[0]
-
-
-def knn(cloud: PointCloud, anchor: int, k: int) -> NeighborList:
-    """K nearest neighbors of a point, anchor included, ties by ascending index."""
-    idx = knn_indices(cloud.positions, anchor, k)
-    return NeighborList(anchor=anchor, neighbors=idx)
-
-
 def knn_all(positions: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) neighbor index matrix for every point, same rule as knn()."""
+    """(n, k) ``knn_query`` of every point against its own cloud."""
     return knn_query(positions, positions, k)
-
-
-def fps(cloud: PointCloud, m: int, start: int = 0) -> np.ndarray:
-    """Greedy farthest point sampling; ties by ascending index."""
-    return fps_indices(cloud.positions, m, start)
 
 
 def fps_indices(positions: np.ndarray, m: int, start: int = 0) -> np.ndarray:

@@ -4,34 +4,26 @@ from __future__ import annotations
 import numpy as np
 
 from ambiseg import autograd as ag
-from ambiseg.ambiguity import NeighborPartition
 from ambiseg.apm import block_forward, concat_input, init_apm_block, loss_reg
 from ambiseg.cloud import PointCloud
 from ambiseg.config import Config
-from ambiseg.margin import _neighbor_matrix
 from ambiseg.network import SegModel, build_geometry, forward, loss_joint
 
 
 def random_batch(rng: np.random.Generator, n: int = 12, dim: int = 5, k: int = 4,
                  num_classes: int = 3):
-    """Random features plus label-consistent neighbor partitions."""
+    """Random features and margins, (n, k) neighbour rows (anchor first) and their intra mask."""
     feats = rng.normal(size=(n, dim))
     labels = rng.integers(0, num_classes, size=n)
     margins = rng.uniform(-0.5, 0.5, size=n)
-    parts = []
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        nbr = np.concatenate([[i], rng.choice(others, size=k - 1, replace=False)])
-        same = labels[nbr] == labels[i]
-        parts.append(NeighborPartition(anchor=i, intra=nbr[same], inter=nbr[~same],
-                                       d_plus=0.0, d_minus=0.0))
-    return feats, parts, margins, labels
+    nbr = np.stack([np.concatenate([[i], rng.choice(np.delete(np.arange(n), i), size=k - 1,
+                                                    replace=False)]) for i in range(n)])
+    return feats, nbr, labels[nbr] == labels[:, None], margins
 
 
 def check_loss_am(seed: int, tau: float = 0.3, step: float = 1e-5) -> float:
     rng = np.random.default_rng(seed)
-    feats, parts, margins, _ = random_batch(rng)
-    nbr, intra = _neighbor_matrix(parts)
+    feats, nbr, intra, margins = random_batch(rng)
     f = ag.Tensor(feats, requires_grad=True)
     return ag.finite_diff_check(lambda: ag.contrast_loss(f, nbr, intra, margins, tau), [f], step)
 
@@ -39,7 +31,7 @@ def check_loss_am(seed: int, tau: float = 0.3, step: float = 1e-5) -> float:
 def check_loss_reg(seed: int, step: float = 1e-5) -> float:
     rng = np.random.default_rng(seed)
     n, d = 10, 4
-    block = init_apm_block(1, d, rng)
+    block = init_apm_block(d, rng)
     z = concat_input(rng.normal(size=(n, 3)), rng.normal(size=(n, d)))
     target = rng.uniform(0.05, 0.95, size=n)
 
@@ -50,7 +42,8 @@ def check_loss_reg(seed: int, step: float = 1e-5) -> float:
     # avoid the |.| kink: nudge targets away from near-zero residuals
     resid = np.abs(block_forward(z, block, mode="train", update_running=False).data[:, 0] - target)
     target = np.where(resid < 1e-6, target + 1e-3, target)
-    return ag.finite_diff_check(f, block.parameters(), step)
+    return ag.finite_diff_check(f, [p for layer in block.layers for p in layer.parameters()],
+                                step)
 
 
 def check_loss_ce(seed: int, step: float = 1e-5) -> float:
@@ -62,11 +55,11 @@ def check_loss_ce(seed: int, step: float = 1e-5) -> float:
 
 
 def check_scatter(seed: int, step: float = 1e-5) -> float:
-    """Row gathers, weighted rows and the refinement blend chained into cross entropy.
+    """Row gathers, weighted rows and a refinement-style blend chained into cross entropy.
 
-    Repeated indices make the backward scatters add several rows into one, and
-    non-zero self coefficients reach the blend's self term, which the default
-    configuration never does.
+    Repeated indices make the backward scatters add several rows into one. The
+    blend is ``weighted_rows`` with a self column, as ``refine.refine`` builds it,
+    with non-zero self coefficients, which the default configuration never reaches.
     """
     rng = np.random.default_rng(seed)
     n, d, m = 6, 3, 9
@@ -80,11 +73,13 @@ def check_scatter(seed: int, step: float = 1e-5) -> float:
     self_coef = rng.uniform(0.2, 1.0, size=n)
     blend_w = rng.uniform(0.1, 1.0, size=(n, 2))
     labels = rng.integers(0, d, size=n)
+    blend_idx = np.concatenate([np.arange(n)[:, None], blend_nbr], axis=1)
+    blend_coef = np.concatenate([self_coef[:, None], blend_w], axis=1)
 
     def f():
         g = ag.gather_rows(x, gather_idx)
         r = ag.weighted_rows(g, rows_idx, rows_w)
-        b = ag.weighted_gather_blend(r, blend_nbr, self_coef, blend_w)
+        b = ag.weighted_rows(r, blend_idx, blend_coef)
         return ag.cross_entropy(b, labels)
 
     return ag.finite_diff_check(f, [x], step)

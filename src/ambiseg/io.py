@@ -1,7 +1,9 @@
 """ASCII point-cloud, CSV, PLY, and binary checkpoint formats."""
 from __future__ import annotations
 
+import math
 import struct
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -98,12 +100,16 @@ def read_ply(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     text = Path(path).read_text().splitlines()
     if not text or text[0] != "ply":
         raise ValueError("not a PLY file")
+    if "end_header" not in text:
+        raise ValueError(f"{path}: PLY header has no end_header line")
     body_start = text.index("end_header") + 1
     n = 0
     for line in text[:body_start]:
         if line.startswith("element vertex"):
             n = int(line.split()[-1])
     rows = [line.split() for line in text[body_start:body_start + n]]
+    if len(rows) != n or any(len(r) < 6 for r in rows):
+        raise ValueError(f"{path}: expected {n} vertex rows of x y z red green blue")
     positions = np.array([[float(t) for t in r[:3]] for r in rows])
     colors = np.array([[int(t) for t in r[3:6]] for r in rows], dtype=np.int64)
     return positions, colors
@@ -137,29 +143,43 @@ def save_checkpoint(path: str | Path, cfg: Config, arrays: dict[str, np.ndarray]
             fh.write(arr.tobytes())
 
 
+def _read(fh: BytesIO, size: int) -> bytes:
+    """Exactly ``size`` bytes from the checkpoint, else a ValueError."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated checkpoint: wanted {size} bytes at offset "
+                         f"{fh.tell() - len(data)}, found {len(data)}")
+    return data
+
+
+def _unpack(fh: BytesIO, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
+
+
 def load_checkpoint(path: str | Path) -> tuple[Config, dict[str, np.ndarray], dict[str, int]]:
-    with open(path, "rb") as fh:
+    # in memory, so a corrupt length field cannot make a read allocate its claimed size
+    with BytesIO(Path(path).read_bytes()) as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("bad checkpoint magic")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = _unpack(fh, "<I")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (n_extra,) = struct.unpack("<I", fh.read(4))
+        (n_extra,) = _unpack(fh, "<I")
         extra = {}
         for _ in range(n_extra):
-            (klen,) = struct.unpack("<I", fh.read(4))
-            key = fh.read(klen).decode("utf-8")
-            (val,) = struct.unpack("<q", fh.read(8))
+            (klen,) = _unpack(fh, "<I")
+            key = _read(fh, klen).decode("utf-8")
+            (val,) = _unpack(fh, "<q")
             extra[key] = val
-        (clen,) = struct.unpack("<I", fh.read(4))
-        cfg = parse_config(fh.read(clen).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (clen,) = _unpack(fh, "<I")
+        cfg = parse_config(_read(fh, clen).decode("utf-8"))
+        (count,) = _unpack(fh, "<I")
         arrays = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-            size = int(np.prod(shape)) if shape else 1
-            arrays[name] = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape).copy()
+            (nlen,) = _unpack(fh, "<I")
+            name = _read(fh, nlen).decode("utf-8")
+            (rank,) = _unpack(fh, "<I")
+            shape = _unpack(fh, f"<{rank}Q")
+            data = _read(fh, 8 * math.prod(shape))
+            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return cfg, arrays, extra

@@ -16,11 +16,12 @@ import numpy as np
 
 from ambiseg import autograd as ag
 from ambiseg.ambiguity import AefConfig, ambiguity_map
-from ambiseg.apm import ApmBlock, block_forward, concat_input, init_apm_block, loss_reg
+from ambiseg.apm import (LinearBN, block_forward, concat_input, glorot_uniform, init_apm_block,
+                         loss_reg)
 from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query, sq_dists
 from ambiseg.config import Config
 from ambiseg.margin import MarginConfig, margin_map
-from ambiseg.refine import RefineConfig, build_masks
+from ambiseg.refine import RefineConfig, refine
 
 DOWNSAMPLE_RATIO = 0.25
 HEAD_HIDDEN = 16
@@ -59,37 +60,6 @@ def mine_labels(parent_labels: np.ndarray, sampled_indices: np.ndarray) -> np.nd
     return parent_labels[idx]
 
 
-class LinearBN:
-    """affine -> batch norm -> activation unit."""
-
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        from ambiseg.apm import glorot_uniform
-        self.w = ag.Tensor(glorot_uniform(rng, d_out, d_in), requires_grad=True)
-        self.b = ag.Tensor(np.zeros(d_out), requires_grad=True)
-        self.gamma = ag.Tensor(np.ones(d_out), requires_grad=True)
-        self.beta = ag.Tensor(np.zeros(d_out), requires_grad=True)
-        self.bn = ag.BatchNormState.create(d_out)
-
-    def __call__(self, x: ag.Tensor, mode: str, update_running: bool, act: str = "relu") -> ag.Tensor:
-        y = ag.affine(x, self.w, self.b)
-        y = ag.batch_norm(y, self.gamma, self.beta, self.bn, mode=mode,
-                          update_running=update_running)
-        return ag.relu(y) if act == "relu" else y
-
-    def parameters(self):
-        return [self.w, self.b, self.gamma, self.beta]
-
-    def named_arrays(self, prefix: str):
-        return {
-            f"{prefix}.w": self.w.data,
-            f"{prefix}.b": self.b.data,
-            f"{prefix}.gamma": self.gamma.data,
-            f"{prefix}.beta": self.beta.data,
-            f"{prefix}.running_mean": self.bn.running_mean,
-            f"{prefix}.running_var": self.bn.running_var,
-        }
-
-
 class SegModel:
     """Stage-structured segmentation network plus per-stage ambiguity regressors."""
 
@@ -103,10 +73,9 @@ class SegModel:
         self.enc = [LinearBN(3 + dims[s - 1], dims[s], rng) for s in range(1, cfg.stages + 1)]
         self.dec = [LinearBN(dims[s + 1] + dims[s], dims[s], rng) for s in range(1, cfg.stages)]
         self.head_hidden = LinearBN(dims[1] + feat_dim0, HEAD_HIDDEN, rng)
-        from ambiseg.apm import glorot_uniform
         self.head_w = ag.Tensor(glorot_uniform(rng, num_classes, HEAD_HIDDEN), requires_grad=True)
         self.head_b = ag.Tensor(np.zeros(num_classes), requires_grad=True)
-        self.apm = [init_apm_block(s, cfg.dims[s - 1], rng) for s in range(1, cfg.stages + 1)]
+        self.apm = [init_apm_block(cfg.dims[s - 1], rng) for s in range(1, cfg.stages + 1)]
 
     def parameters(self) -> list[ag.Tensor]:
         out = []
@@ -114,7 +83,8 @@ class SegModel:
             out.extend(blk.parameters())
         out.extend([self.head_w, self.head_b])
         for b in self.apm:
-            out.extend(b.parameters())
+            for layer in b.layers:
+                out.extend(layer.parameters())
         return out
 
     def named_arrays(self) -> dict[str, np.ndarray]:
@@ -127,7 +97,8 @@ class SegModel:
         out["head.w"] = self.head_w.data
         out["head.b"] = self.head_b.data
         for s, b in enumerate(self.apm, start=1):
-            out.update(b.named_arrays(f"apm{s}"))
+            for t, layer in enumerate(b.layers):
+                out.update(layer.named_arrays(f"apm{s}.l{t}"))
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
@@ -177,10 +148,11 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[St
                             enc_nbr=enc_nbr, up_idx=up_idx, up_w=up_w, mr_nbr=nbrs[:, 1:kt])
         if lab is not None:
             stage_cloud = PointCloud(pos, lab, cloud.num_classes)
-            amb = ambiguity_map(stage_cloud, AefConfig(k=k_aef, beta=cfg.beta), stage=s)
+            geo.nbr_matrix = nbrs[:, :k_aef]
+            amb = ambiguity_map(stage_cloud, AefConfig(k=k_aef, beta=cfg.beta), stage=s,
+                                nbrs=geo.nbr_matrix)
             geo.ambiguities = amb.values
             geo.margins = margin_map(amb, mcfg).values
-            geo.nbr_matrix = nbrs[:, :k_aef]
             geo.intra_mask = lab[geo.nbr_matrix] == lab[:, None]
         geoms.append(geo)
         parent_pos, parent_lab = pos, lab
@@ -197,8 +169,8 @@ class ForwardResult:
 
 
 def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
-            geometry: list[StageGeometry] | None = None, update_running: bool | None = None,
-            use_refine: bool = True) -> ForwardResult:
+            geometry: list[StageGeometry] | None = None,
+            update_running: bool | None = None) -> ForwardResult:
     """Full network pass; train mode also evaluates AEF targets and APM outputs."""
     cfg = model.cfg
     if mode not in ("train", "infer"):
@@ -247,28 +219,17 @@ def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
         pred_amb[s] = block_forward(z_np, block, mode="infer",
                                     update_running=False).data[:, 0]
 
-    def maybe_refine(t: ag.Tensor, s: int) -> ag.Tensor:
-        if not use_refine or cfg.gamma == 0.0:
-            return t
-        geo = geometry[s - 1]
-        masks = build_masks(pred_amb[s], geo.mr_nbr, refine_cfg)
-        if not masks.self_mask.any():
-            return t
-        sm = masks.self_mask.astype(np.float64)
-        self_coef = 1.0 - cfg.gamma * sm
-        nbr_weights = cfg.gamma * sm[:, None] * masks.cross_mask
-        return ag.weighted_gather_blend(t, geo.mr_nbr, self_coef, nbr_weights)
-
     # decoder
     stage_feats: dict[int, ag.Tensor] = {}
-    g = maybe_refine(enc_feats[cfg.stages], cfg.stages)
+    g = refine(enc_feats[cfg.stages], pred_amb[cfg.stages],
+               geometry[cfg.stages - 1].mr_nbr, refine_cfg)
     stage_feats[cfg.stages] = g
     for s in range(cfg.stages - 1, 0, -1):
         geo_child = geometry[s]          # stage s+1 geometry holds up_idx for stage s
         up = ag.weighted_rows(g, geo_child.up_idx, geo_child.up_w)
         x = ag.concat_cols([up, enc_feats[s]])
         g = model.dec[s - 1](x, mode, update_running)
-        g = maybe_refine(g, s)
+        g = refine(g, pred_amb[s], geometry[s - 1].mr_nbr, refine_cfg)
         stage_feats[s] = g
 
     up0 = ag.weighted_rows(g, geometry[0].up_idx, geometry[0].up_w)

@@ -3,7 +3,8 @@
 High-ambiguity anchors (self mask inside the threshold band) have their
 embedding replaced by the lowest-ambiguity neighbor's snapshot embedding and
 blended back at the refining rate. Snapshot semantics: refinements within a
-stage never see each other's output.
+stage never see each other's output. ``build_masks`` computes the masks and
+``refine`` applies them as one ``weighted_rows`` node with a self column.
 """
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ambiseg.apm import PredictedAmbiguity
-from ambiseg.cloud import knn_all
+from ambiseg import autograd as ag
 
 
 @dataclass(frozen=True)
@@ -45,60 +45,6 @@ class MaskSet:
     pooled: np.ndarray      # (n,) minimum neighbor ambiguity
 
 
-def self_mask(a_pred: float, cfg: RefineConfig) -> int:
-    """1 iff the predicted ambiguity falls in the closed threshold band."""
-    return int(cfg.epsilon_lo <= a_pred <= cfg.epsilon_hi)
-
-
-def cross_mask(neighbor_ambiguities: np.ndarray, mode: str = "single") -> tuple[float, np.ndarray]:
-    """Min-pool the neighbor ambiguities and flag the minimizer(s)."""
-    a = np.asarray(neighbor_ambiguities, dtype=np.float64).reshape(-1)
-    if a.size == 0:
-        raise ValueError("neighbor ambiguity sequence must be non-empty")
-    pooled = float(a.min())
-    bits = np.zeros(a.size, dtype=np.uint8)
-    if mode == "sum":
-        bits[a == pooled] = 1
-    else:
-        bits[int(np.argmin(a))] = 1  # argmin picks the lowest tied index
-    return pooled, bits
-
-
-def refine_embedding(f: np.ndarray, neighbor_features: np.ndarray, self_bit: int,
-                     cross_bits: np.ndarray, gamma: float) -> np.ndarray:
-    """Blend the masked neighbor aggregate into the anchor embedding."""
-    f = np.asarray(f, dtype=np.float64)
-    nf = np.asarray(neighbor_features, dtype=np.float64)
-    bits = np.asarray(cross_bits, dtype=np.float64)
-    if nf.shape[0] != bits.shape[0]:
-        raise ValueError("cross bits and neighbor features must align")
-    if self_bit == 0:
-        return f.copy()
-    f_star = bits @ nf
-    return gamma * f_star + (1.0 - gamma) * f
-
-
-def refine_stage(features: np.ndarray, pred: PredictedAmbiguity, positions: np.ndarray,
-                 cfg: RefineConfig) -> tuple[np.ndarray, MaskSet]:
-    """Apply masked refinement to every point of a stage (snapshot semantics)."""
-    feats = np.asarray(features, dtype=np.float64)
-    pos = np.asarray(positions, dtype=np.float64)
-    vals = np.asarray(pred.values, dtype=np.float64)
-    n = feats.shape[0]
-    if pos.shape[0] != n or vals.shape[0] != n:
-        raise ValueError("stage sequences must share length")
-    nbr = knn_all(pos, cfg.k_tilde)[:, 1:]  # anchor excluded from its candidates
-    masks = build_masks(vals, nbr, cfg)
-    if cfg.gamma == 0.0 or not masks.self_mask.any():
-        return feats.copy(), masks
-    out = feats.copy()
-    chosen = masks.cross_mask.astype(np.float64)
-    f_star = np.einsum("nh,nhd->nd", chosen, feats[nbr])
-    hot = masks.self_mask.astype(bool)
-    out[hot] = cfg.gamma * f_star[hot] + (1.0 - cfg.gamma) * feats[hot]
-    return out, masks
-
-
 def build_masks(pred_values: np.ndarray, nbr: np.ndarray, cfg: RefineConfig) -> MaskSet:
     """Self and cross masks for precomputed neighbor index rows."""
     vals = np.asarray(pred_values, dtype=np.float64)
@@ -111,3 +57,24 @@ def build_masks(pred_values: np.ndarray, nbr: np.ndarray, cfg: RefineConfig) -> 
     else:
         np.put_along_axis(cm, np.argmin(nbr_vals, axis=1)[:, None], 1, axis=1)
     return MaskSet(self_mask=sm, cross_mask=cm, pooled=pooled)
+
+
+def refine(x: ag.Tensor, pred_values: np.ndarray, nbr: np.ndarray, cfg: RefineConfig) -> ag.Tensor:
+    """Masked refinement of a stage's (n, D) features; ``nbr`` excludes the anchor.
+
+    Returns ``x`` itself when ``gamma`` is 0 or no self-mask bit is set. Otherwise
+    each row is ``(1 - gamma * s_i) x_i + gamma * s_i * sum_h c_ih x_nbr_ih`` with
+    self bit ``s_i`` and cross bits ``c_ih``, all read from ``x`` (snapshot
+    semantics). The mask logic is constant; only ``x`` is differentiated.
+    """
+    if cfg.gamma == 0.0:
+        return x
+    masks = build_masks(pred_values, nbr, cfg)
+    if not masks.self_mask.any():
+        return x
+    sm = masks.self_mask.astype(np.float64)
+    self_coef = 1.0 - cfg.gamma * sm
+    nbr_weights = cfg.gamma * sm[:, None] * masks.cross_mask
+    n = nbr.shape[0]
+    return ag.weighted_rows(x, np.concatenate([np.arange(n)[:, None], nbr], axis=1),
+                            np.concatenate([self_coef[:, None], nbr_weights], axis=1))

@@ -10,15 +10,15 @@ from ambiseg import autograd as ag
 from ambiseg import cli
 from ambiseg import cloud as cl
 from ambiseg import io as aio
-from ambiseg.ambiguity import AefConfig, AmbiguityMap, NeighborPartition, ambiguity_map
+from ambiseg.ambiguity import AefConfig, AmbiguityMap, ambiguity_map
 from ambiseg.apm import block_forward, concat_input, init_apm_block, loss_reg
-from ambiseg.cloud import PointCloud, SceneSpec, synth_scene
+from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config
 from ambiseg.gradcheck import run_gradcheck
-from ambiseg.margin import ContrastBatch, MarginConfig, MarginMap, loss_am, margin
+from ambiseg.margin import MarginConfig, loss_am_indexed, margin_map
 from ambiseg.network import SegModel, build_geometry, forward, train
-from ambiseg.refine import RefineConfig, build_masks, cross_mask, refine_stage
-from ambiseg.apm import PredictedAmbiguity
+from ambiseg.refine import RefineConfig, build_masks, refine
+from oracles import contrast_batch
 
 
 def report(num, name, ok, detail=""):
@@ -97,8 +97,10 @@ def test_criterion_01_ambiguity_oracle_equivalence(monkeypatch):
 
 
 def test_criterion_02_ambiguity_spot_values():
-    from ambiseg.ambiguity import Closeness, ambiguity
-    a = ambiguity(Closeness(cc_plus=2.0, cc_minus=0.25), intra_count=2, k=4, beta=0.04)
+    # point 0 of this cloud: cc+ = 2 / 1 = 2 and cc- = 2 / (4 + 4) = 0.25
+    spot = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 2]]),
+                      np.array([0, 0, 1, 1]), 2)
+    a = ambiguity_map(spot, AefConfig(k=4, beta=0.04)).values[0]
     spot_ok = abs(a - 1.0 / (1.0 + math.exp(0.07))) <= 1e-12
     # constructed neighborhoods for both saturation branches
     pos = np.vstack([np.linspace(0, 1, 8)[:, None] @ np.ones((1, 3)), [[0.01, 0, 0]]])
@@ -113,9 +115,9 @@ def test_criterion_02_ambiguity_spot_values():
 def test_criterion_03_margin_sign_grid():
     cfg = MarginConfig(mu=-1.0, nu=0.5)
     grid = np.linspace(0.0, 1.0, 10_000)
-    ok = margin(0.5, cfg) == 0.0
-    for a in grid:
-        m = margin(float(a), cfg)
+    ok = margin_map(AmbiguityMap(values=np.array([0.5])), cfg).values[0] == 0.0
+    margins = margin_map(AmbiguityMap(values=grid), cfg).values
+    for a, m in zip(grid, margins):
         if a < 0.5:
             ok = ok and (m > 0 or a == 0.5)
         elif a > 0.5:
@@ -125,34 +127,16 @@ def test_criterion_03_margin_sign_grid():
     report(3, "margin sign over ambiguity grid", ok, "10000 values")
 
 
-def _random_batch(rng, mu, nu, n=12, dim=5, k=4, num_classes=3):
-    feats = rng.normal(size=(n, dim))
-    labels = rng.integers(0, num_classes, size=n)
-    amb = rng.uniform(0.0, 1.0, size=n)
-    parts = []
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        nbr = np.concatenate([[i], rng.choice(others, size=k - 1, replace=False)])
-        same = labels[nbr] == labels[i]
-        parts.append(NeighborPartition(anchor=i, intra=nbr[same], inter=nbr[~same],
-                                       d_plus=0.0, d_minus=0.0))
-    return ContrastBatch(features=feats, partitions=parts,
-                         margins=MarginMap(values=mu * amb + nu),
-                         ambiguities=AmbiguityMap(values=amb))
-
-
-def _plain_supervised_contrast(batch, tau):
+def _plain_supervised_contrast(feats, nbr, intra, tau):
     """Independent margin-free supervised contrastive reference."""
-    feats = batch.features
     unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
     total, count = 0.0, 0
-    for part in batch.partitions:
-        if len(part.inter) == 0:
+    for i in range(feats.shape[0]):
+        if intra[i].all():
             continue
         count += 1
-        num = sum(math.exp(float(unit[part.anchor] @ unit[j]) / tau) for j in part.intra)
-        den = num + sum(math.exp(float(unit[part.anchor] @ unit[j]) / tau)
-                        for j in part.inter)
+        num = sum(math.exp(float(unit[i] @ unit[j]) / tau) for j in nbr[i][intra[i]])
+        den = num + sum(math.exp(float(unit[i] @ unit[j]) / tau) for j in nbr[i][~intra[i]])
         total += -math.log(num / den)
     return total / count
 
@@ -162,9 +146,9 @@ def test_criterion_04_margin_zero_reduction():
     cfg = MarginConfig(mu=0.0, nu=0.0)
     worst = 0.0
     for _ in range(100):
-        batch = _random_batch(rng, mu=0.0, nu=0.0)
-        value, _ = loss_am(batch, cfg)
-        worst = max(worst, abs(value - _plain_supervised_contrast(batch, cfg.tau)))
+        feats, nbr, intra, margins = contrast_batch(rng, mu=0.0, nu=0.0)
+        value, _ = loss_am_indexed(feats, nbr, intra, margins, cfg.tau)
+        worst = max(worst, abs(value - _plain_supervised_contrast(feats, nbr, intra, cfg.tau)))
     report(4, "zero-margin reduction to supervised contrast", worst <= 1e-12,
            f"max |diff| {worst:.2e} over 100 batches")
 
@@ -235,8 +219,8 @@ def test_criterion_09_apm_regression(overfit_run):
     maes = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        block = init_apm_block(1, feats.shape[1], rng)
-        params = block.parameters()
+        block = init_apm_block(feats.shape[1], rng)
+        params = [p for layer in block.layers for p in layer.parameters()]
         velocity = [np.zeros_like(p.data) for p in params]
         for _ in range(500):
             ag.zero_grads(params)
@@ -256,24 +240,23 @@ def test_criterion_09_apm_regression(overfit_run):
 
 def test_criterion_10_refinement_invariants():
     rng = np.random.default_rng(0)
-    feats = rng.normal(size=(64, 8))
-    pos = rng.normal(size=(64, 3))
-    low = PredictedAmbiguity(values=rng.uniform(0.0, 0.5, size=64), stage=1)
-    hot = PredictedAmbiguity(values=rng.uniform(0.85, 1.0, size=64), stage=1)
-    out_gamma0, _ = refine_stage(feats, hot, pos, RefineConfig(gamma=0.0, k_tilde=6))
-    out_cold, masks_cold = refine_stage(feats, low, pos, RefineConfig(k_tilde=6))
-    noop_ok = (np.array_equal(out_gamma0, feats) and np.array_equal(out_cold, feats)
-               and not masks_cold.self_mask.any())
+    feats = ag.Tensor(rng.normal(size=(64, 8)))
+    nbr = knn_all(rng.normal(size=(64, 3)), 6)[:, 1:]  # anchor excluded
+    low = rng.uniform(0.0, 0.5, size=64)
+    hot = rng.uniform(0.85, 1.0, size=64)
+    noop_ok = (refine(feats, hot, nbr, RefineConfig(gamma=0.0, k_tilde=6)) is feats
+               and refine(feats, low, nbr, RefineConfig(k_tilde=6)) is feats
+               and not build_masks(low, nbr, RefineConfig(k_tilde=6)).self_mask.any())
 
+    # 10,000 rows of 7 neighbour ambiguities on a coarse grid, which forces ties
+    vals = np.round(rng.uniform(size=70_000), 1)
+    block = np.arange(70_000).reshape(10_000, 7)
+    masks = build_masks(vals, block, RefineConfig(k_tilde=8))
     pool_ok, single_ok = True, True
-    for _ in range(10_000):
-        vals = np.round(rng.uniform(size=7), 1)  # coarse grid forces ties
-        pooled, bits = cross_mask(vals, mode="single")
-        pool_ok = pool_ok and pooled == min(float(v) for v in vals)
-        single_ok = single_ok and bits.sum() == 1 and bits[int(np.argmin(vals))] == 1
-    nbr = np.stack([rng.choice(64, size=5, replace=False) for _ in range(64)])
-    masks = build_masks(np.round(rng.uniform(size=64), 1), nbr, RefineConfig(k_tilde=6))
-    single_ok = single_ok and bool(np.all(masks.cross_mask.sum(axis=1) == 1))
+    for row, pooled, bits in zip(block, masks.pooled, masks.cross_mask):
+        row_vals = vals[row]
+        pool_ok = pool_ok and pooled == min(float(v) for v in row_vals)
+        single_ok = single_ok and bits.sum() == 1 and bits[int(np.argmin(row_vals))] == 1
     report(10, "masked refinement invariants", noop_ok and pool_ok and single_ok,
            f"noop {noop_ok}, min-pool {pool_ok}, single-bit {single_ok}")
 

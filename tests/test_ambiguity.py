@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ambiseg.ambiguity import (AefConfig, Closeness, ambiguity, ambiguity_map,
-                               closeness, partition_neighbors)
-from ambiseg.cloud import PointCloud
+from ambiseg.ambiguity import AefConfig, ambiguity_map
+from ambiseg.cloud import PointCloud, rigid_transform
+from ambiseg.config import Config
+from ambiseg.network import build_geometry
+from oracles import partition, point_ambiguity
 
 
 def brute_ambiguity(cloud, k, beta, dup_epsilon=1e-9):
@@ -43,34 +47,42 @@ def test_config_validation():
 
 
 def test_partition_covers_neighborhood():
+    # the loss's partition: each labelled stage's K-neighbour rows and intra mask
     rng = np.random.default_rng(0)
-    c = PointCloud(rng.normal(size=(40, 3)), rng.integers(0, 3, 40), 3)
-    part = partition_neighbors(c, 5, 8)
-    assert len(part.intra) + len(part.inter) == 8
-    assert 5 in part.intra  # zero-distance anchor always lands intra
-    assert part.d_plus >= 0 and part.d_minus >= 0
-    assert np.all(c.labels[part.intra] == c.labels[5])
-    assert np.all(c.labels[part.inter] != c.labels[5])
+    c = PointCloud(rng.normal(size=(400, 3)), rng.integers(0, 3, 400), 3)
+    cfg = Config(k=8, k_tilde=4, dims=(6, 8), stages=2)
+    for geo in build_geometry(c, cfg, with_labels=True):
+        n_s = geo.positions.shape[0]
+        assert geo.nbr_matrix.shape == (n_s, cfg.k)
+        # distinct random points: each anchor is its own zero-distance neighbour, intra
+        np.testing.assert_array_equal(geo.nbr_matrix[:, 0], np.arange(n_s))
+        assert geo.intra_mask[:, 0].all()
+        np.testing.assert_array_equal(geo.intra_mask,
+                                      geo.labels[geo.nbr_matrix] == geo.labels[:, None])
 
 
+@pytest.mark.filterwarnings("error")
 def test_closeness_empty_inter_is_zero():
-    part = partition_neighbors(
-        PointCloud(np.random.default_rng(1).normal(size=(10, 3)),
-                   np.zeros(10, dtype=int), 1), 0, 5)
-    cc = closeness(part)
-    assert cc.cc_minus == 0.0
-    assert cc.cc_plus > 0
+    # anchors whose whole neighbourhood shares their label (empty inter set,
+    # d_minus = 0) score 0 without a division warning, inside a mixed cloud too
+    pos = np.random.default_rng(1).normal(size=(10, 3))
+    pure = ambiguity_map(PointCloud(pos, np.zeros(10, dtype=int), 1), AefConfig(k=5))
+    np.testing.assert_array_equal(pure.values, 0.0)
+    far = np.vstack([pos, pos[:4] + 100.0])
+    mixed = ambiguity_map(PointCloud(far, np.array([0] * 10 + [1] * 4), 2), AefConfig(k=4))
+    np.testing.assert_array_equal(mixed.values, 0.0)
 
 
 def test_ambiguity_piecewise_branches():
-    assert ambiguity(Closeness(5.0, 0.0), intra_count=8, k=8, beta=0.04) == 0.0
-    assert ambiguity(Closeness(1e9, 3.0), intra_count=1, k=8, beta=0.04) == 1.0
-    a = ambiguity(Closeness(2.0, 0.25), intra_count=2, k=4, beta=0.04)
-    assert abs(a - 1.0 / (1.0 + math.exp(0.07))) <= 1e-12
-    with pytest.raises(ValueError):
-        ambiguity(Closeness(1.0, 1.0), intra_count=0, k=4, beta=0.04)
-    with pytest.raises(ValueError):
-        ambiguity(Closeness(1.0, 1.0), intra_count=5, k=4, beta=0.04)
+    # pure, isolated and mixed neighbourhoods of a 4-point cloud, K = 4
+    pos = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    assert np.all(ambiguity_map(PointCloud(pos, np.zeros(4, dtype=int), 1),
+                                AefConfig(k=4)).values == 0.0)
+    lonely = ambiguity_map(PointCloud(pos, np.array([0, 1, 1, 1]), 2), AefConfig(k=4))
+    assert lonely.values[0] == 1.0
+    # point 0: cc+ = 2 / 1 and cc- = 2 / (4 + 4), so the gap is 0.04 * 1.75 = 0.07
+    mixed = ambiguity_map(PointCloud(pos, np.array([0, 0, 1, 1]), 2), AefConfig(k=4, beta=0.04))
+    assert abs(mixed.values[0] - 1.0 / (1.0 + math.exp(0.07))) <= 1e-12
 
 
 def test_ambiguity_map_matches_brute_reference_exactly():
@@ -88,9 +100,8 @@ def test_ambiguity_map_matches_per_point_path_bitwise():
     cfg = AefConfig(k=12)
     vec = ambiguity_map(c, cfg).values
     for i in range(c.n):
-        part = partition_neighbors(c, i, cfg.k)
-        a = ambiguity(closeness(part, cfg.dup_epsilon), len(part.intra), cfg.k, cfg.beta)
-        assert vec[i] == a
+        assert vec[i] == point_ambiguity(c.positions, c.labels, i, cfg.k, cfg.beta,
+                                         cfg.dup_epsilon)
 
 
 @pytest.mark.filterwarnings("error")
@@ -102,10 +113,9 @@ def test_overflowing_closeness_gap_saturates_to_zero():
     cfg = AefConfig(k=4)
     values = ambiguity_map(c, cfg).values
     for i in (0, 1):
-        part = partition_neighbors(c, i, cfg.k)
-        assert len(part.intra) == 2 and part.d_plus == 0.0
-        a = ambiguity(closeness(part, cfg.dup_epsilon), len(part.intra), cfg.k, cfg.beta)
-        assert a == 0.0
+        _, same, d2 = partition(c.positions, c.labels, i, cfg.k)
+        assert same.sum() == 2 and np.sum(d2 * same) == 0.0
+        assert point_ambiguity(c.positions, c.labels, i, cfg.k, cfg.beta, cfg.dup_epsilon) == 0.0
         assert values[i] == 0.0
 
 
@@ -125,3 +135,29 @@ def test_pure_and_isolated_neighborhoods():
     # and a fully pure cloud is all zeros
     pure = PointCloud(pos, np.zeros(21, dtype=int), 1)
     assert np.all(ambiguity_map(pure, AefConfig(k=5)).values == 0.0)
+
+
+def uniform_cloud(n, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    return PointCloud(rng.uniform(0.0, 4.0, size=(n, 3)), rng.integers(0, num_classes, n),
+                      num_classes)
+
+
+# Seeded uniform clouds rather than drawn raw floats: no exact distance ties,
+# so the neighbour sets survive a rigid motion.
+clouds = st.builds(uniform_cloud, st.integers(30, 400), st.integers(2, 4),
+                   st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cloud=clouds, k=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_ambiguity_map_properties_on_uniform_clouds(cloud, k, seed):
+    cfg = AefConfig(k=k)
+    values = ambiguity_map(cloud, cfg).values
+    assert values.shape == (cloud.n,)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    # invariant under a rigid motion
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    moved = rigid_transform(cloud, rotation, rng.uniform(-10.0, 10.0, size=3))
+    np.testing.assert_allclose(ambiguity_map(moved, cfg).values, values, rtol=0.0, atol=1e-9)

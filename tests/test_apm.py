@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 
 from ambiseg import autograd as ag
-from ambiseg.apm import (APM_CHANNELS, block_forward, concat_input,
-                         glorot_uniform, init_apm_block, loss_reg,
-                         predict_ambiguity)
+from ambiseg.apm import (APM_CHANNELS, LinearBN, block_forward, concat_input,
+                         glorot_uniform, init_apm_block, loss_reg)
+
+
+def block_parameters(block):
+    return [p for layer in block.layers for p in layer.parameters()]
 
 
 def test_block_architecture():
     rng = np.random.default_rng(0)
-    block = init_apm_block(stage=1, feat_dim=16, rng=rng)
+    block = init_apm_block(feat_dim=16, rng=rng)
     assert block.dims == (19,) + APM_CHANNELS
     assert len(block.layers) == len(APM_CHANNELS)
     widths = [19] + list(APM_CHANNELS)
     for layer, d_in, d_out in zip(block.layers, widths[:-1], widths[1:]):
+        assert isinstance(layer, LinearBN)
         assert layer.w.data.shape == (d_out, d_in)
         assert layer.b.data.shape == (d_out,)
-    assert len(block.parameters()) == 4 * len(APM_CHANNELS)
+    assert len(block_parameters(block)) == 4 * len(APM_CHANNELS)
 
 
 def test_glorot_bounds():
@@ -41,7 +45,7 @@ def test_concat_input():
 
 def test_forward_output_in_unit_interval():
     rng = np.random.default_rng(2)
-    block = init_apm_block(1, 6, rng)
+    block = init_apm_block(6, rng)
     z = rng.normal(size=(20, 9))
     out = block_forward(z, block, mode="train", update_running=False)
     assert out.data.shape == (20, 1)
@@ -53,14 +57,19 @@ def test_forward_output_in_unit_interval():
 
 
 def test_predict_ambiguity_is_detached_copy():
+    # the inference pass the refinement masks read: running stats stay put and
+    # the values are a plain array cut from the graph
     rng = np.random.default_rng(3)
-    block = init_apm_block(2, 4, rng)
+    block = init_apm_block(4, rng)
     z = rng.normal(size=(10, 7))
-    pred = predict_ambiguity(z, block)
-    assert pred.stage == 2
-    assert pred.values.shape == (10,)
-    before = block.layers[0].bn.running_mean.copy()
-    np.testing.assert_array_equal(block.layers[0].bn.running_mean, before)
+    block_forward(z, block, mode="train", update_running=True)
+    before = [(layer.bn.running_mean.copy(), layer.bn.running_var.copy())
+              for layer in block.layers]
+    pred = block_forward(z, block, mode="infer", update_running=False).data[:, 0]
+    assert isinstance(pred, np.ndarray) and pred.shape == (10,)
+    for layer, (mean, var) in zip(block.layers, before):
+        np.testing.assert_array_equal(layer.bn.running_mean, mean)
+        np.testing.assert_array_equal(layer.bn.running_var, var)
 
 
 def test_loss_reg_array_and_tensor_paths_agree():
@@ -79,10 +88,10 @@ def test_loss_reg_array_and_tensor_paths_agree():
 
 def test_block_trains_toward_target():
     rng = np.random.default_rng(5)
-    block = init_apm_block(1, 4, rng)
+    block = init_apm_block(4, rng)
     z = rng.normal(size=(40, 7))
     target = rng.uniform(0.2, 0.8, size=40)
-    params = block.parameters()
+    params = block_parameters(block)
     first = None
     for _ in range(150):
         ag.zero_grads(params)

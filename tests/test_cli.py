@@ -105,14 +105,27 @@ def test_train_with_config_file(tmp_path):
     assert extra["num_classes"] == 2
 
 
-def test_predict_with_corrupt_checkpoint(tmp_path):
+def test_predict_with_corrupt_checkpoint(tmp_path, capsys):
     cloud_path = tmp_path / "scene.txt"
-    run(["synth", "--kind", "two-rooms", "--points-per-class", "16",
+    ckpt = tmp_path / "model.ckpt"
+    run(["synth", "--kind", "planar-boundary", "--points-per-class", "60",
          "--out", str(cloud_path)])
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"JUNKJUNKJUNK")
-    assert run(["predict", "--in", str(cloud_path), "--checkpoint", str(bad),
-                "--out", str(tmp_path / "p.csv")]) == cli.EXIT_USAGE
+    assert run(["train", "--in", str(cloud_path), "--out", str(ckpt)] + TINY) == 0
+    data = ckpt.read_bytes()
+    # junk, then cuts inside the magic, the header, the config text, a tensor
+    # and the last bytes of a real checkpoint
+    cases = [b"JUNKJUNKJUNK"] + [data[:size] for size in
+                                (0, 3, 10, 200, len(data) // 2, len(data) - 3, len(data) - 1)]
+    for content in cases:
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert run(["predict", "--in", str(cloud_path), "--checkpoint", str(bad),
+                    "--out", str(tmp_path / "p.csv")]) == cli.EXIT_USAGE, len(content)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        if data.startswith(content) and len(content) >= 4:
+            assert "truncated checkpoint" in err, err
 
 
 def test_gradcheck_exit_codes(monkeypatch):

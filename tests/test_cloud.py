@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambiseg import cloud as cl
-from ambiseg.cloud import (PointCloud, SceneSpec, fps_indices, knn, knn_all,
-                           knn_indices, knn_query, rigid_transform, synth_scene)
+from ambiseg.cloud import (PointCloud, SceneSpec, fps_indices, knn_all, knn_query,
+                           rigid_transform, synth_scene)
 from ambiseg.config import Config
 from ambiseg.network import build_geometry
 
@@ -15,6 +15,11 @@ def brute_knn(positions, anchor, k):
     d2 = np.sum((positions - positions[anchor]) ** 2, axis=1)
     order = sorted(range(len(d2)), key=lambda j: (d2[j], j))
     return np.asarray(order[:k], dtype=np.int64)
+
+
+def knn_of(positions, anchor, k):
+    """One anchor's row of knn_query."""
+    return knn_query(positions, positions[anchor:anchor + 1], k)[0]
 
 
 def test_pointcloud_validation():
@@ -56,14 +61,14 @@ def test_knn_matches_brute_reference():
     pos = rng.normal(size=(200, 3))
     for anchor in (0, 17, 199):
         for k in (1, 5, 24, 200):
-            np.testing.assert_array_equal(knn_indices(pos, anchor, k),
+            np.testing.assert_array_equal(knn_of(pos, anchor, k),
                                           brute_knn(pos, anchor, k))
 
 
 def test_knn_tie_break_by_index():
     # two exact duplicates of the anchor position plus farther points
     pos = np.array([[0.0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0], [2, 0, 0]])
-    idx = knn_indices(pos, 0, 3)
+    idx = knn_of(pos, 0, 3)
     np.testing.assert_array_equal(idx, [0, 2, 3])
 
 
@@ -81,9 +86,7 @@ def test_knn_kdtree_path_agrees_with_brute(monkeypatch):
 def test_knn_validation():
     pos = np.zeros((5, 3))
     with pytest.raises(ValueError):
-        knn_indices(pos, 5, 2)
-    with pytest.raises(ValueError):
-        knn_indices(pos, 0, 6)
+        knn_of(pos, 0, 6)
     with pytest.raises(ValueError):
         knn_all(pos, 0)
     with pytest.raises(ValueError):
@@ -94,9 +97,10 @@ def test_knn_validation():
 def test_knn_wrapper_includes_anchor_first_on_distinct_points():
     rng = np.random.default_rng(5)
     c = PointCloud(rng.normal(size=(50, 3)), rng.integers(0, 2, 50), 2)
-    nb = knn(c, 7, 6)
-    assert nb.anchor == 7
-    assert nb.neighbors[0] == 7  # anchor is its own zero-distance neighbor
+    nb = knn_all(c.positions, 6)
+    assert nb.shape == (50, 6)
+    # each anchor is its own zero-distance neighbor
+    np.testing.assert_array_equal(nb[:, 0], np.arange(50))
 
 
 def knn_oracle(ref, queries, k):

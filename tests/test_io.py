@@ -76,6 +76,14 @@ def test_read_ply_rejects_other_files(tmp_path):
     path.write_text("not a ply\n")
     with pytest.raises(ValueError):
         aio.read_ply(path)
+    aio.write_ply(path, np.zeros((3, 3)), np.zeros(3))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if line != "end_header") + "\n")
+    with pytest.raises(ValueError, match="end_header"):
+        aio.read_ply(path)
+    path.write_text("\n".join(lines[:-1]) + "\n")  # one vertex row short
+    with pytest.raises(ValueError, match="3 vertex rows"):
+        aio.read_ply(path)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -3,53 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from ambiseg.ambiguity import AmbiguityMap, NeighborPartition
-from ambiseg.margin import (NORM_EPSILON, ContrastBatch, MarginConfig, MarginMap,
-                            _loss_am_core, cosine_sim, contrastive_embeddings, loss_am,
-                            loss_am_indexed, loss_seg, margin, margin_map)
-
-
-def make_batch(rng, n=12, dim=5, k=4, num_classes=3, mu=-1.0, nu=0.5):
-    feats = rng.normal(size=(n, dim))
-    labels = rng.integers(0, num_classes, size=n)
-    amb = rng.uniform(0.0, 1.0, size=n)
-    parts = []
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        nbr = np.concatenate([[i], rng.choice(others, size=k - 1, replace=False)])
-        same = labels[nbr] == labels[i]
-        parts.append(NeighborPartition(anchor=i, intra=nbr[same], inter=nbr[~same],
-                                       d_plus=0.0, d_minus=0.0))
-    margins = MarginMap(values=mu * amb + nu)
-    return ContrastBatch(features=feats, partitions=parts, margins=margins,
-                         ambiguities=AmbiguityMap(values=amb)), labels
-
-
-def reference_loss(batch, tau):
-    """Independent scalar-loop evaluation of the margin-shifted contrast loss."""
-    feats = batch.features
-    total, count = 0.0, 0
-    for part, m in zip(batch.partitions, batch.margins.values):
-        if len(part.inter) == 0:
-            continue
-        count += 1
-        num = sum(math.exp((cosine_sim(feats[part.anchor], feats[j]) - m) / tau)
-                  for j in part.intra)
-        den = num + sum(math.exp(cosine_sim(feats[part.anchor], feats[j]) / tau)
-                        for j in part.inter)
-        total += -math.log(num / den)
-    return total / count
+from ambiseg.ambiguity import AmbiguityMap
+from ambiseg.cloud import SceneSpec, synth_scene
+from ambiseg.config import Config, ConfigError
+from ambiseg.margin import (NORM_EPSILON, MarginConfig, _loss_am_core, loss_am_indexed,
+                            margin_map)
+from ambiseg.network import SegModel, build_geometry, forward, loss_joint
+from oracles import contrast_batch, reference_contrast_loss
 
 
 def test_margin_arithmetic():
     cfg = MarginConfig(mu=-1.0, nu=0.5)
-    assert margin(0.5, cfg) == 0.0
-    assert margin(0.0, cfg) == 0.5
-    assert margin(1.0, cfg) == -0.5
-    with pytest.raises(ValueError):
-        margin(1.5, cfg)
-    with pytest.raises(ValueError):
-        margin(-0.1, cfg)
+    mm = margin_map(AmbiguityMap(values=np.array([0.5, 0.0, 1.0])), cfg)
+    assert list(mm.values) == [0.0, 0.5, -0.5]
     with pytest.raises(ValueError):
         MarginConfig(tau=0.0)
 
@@ -62,52 +28,66 @@ def test_margin_map_is_linear():
 
 
 def test_cosine_sim():
-    assert cosine_sim([1.0, 0.0], [0.0, 2.0]) == 0.0
-    assert abs(cosine_sim([1.0, 1.0], [2.0, 2.0]) - 1.0) <= 1e-15
-    assert cosine_sim([0.0, 0.0], [1.0, 0.0]) == 0.0  # clamped norm
-    with pytest.raises(ValueError):
-        cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
+    # the loss's pairwise similarities: anchor 0 against 1 (orthogonal) and 2
+    # (parallel), anchor 3 (zero, clamped norm) against 0
+    feats = np.array([[1.0, 0.0], [0.0, 2.0], [2.0, 0.0], [0.0, 0.0]])
+    nbr = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
+    intra = np.zeros((4, 3), dtype=bool)
+    intra[:, 0] = True
+    _, _, _, _, sims = _loss_am_core(feats, nbr, intra, np.zeros(4), 0.3)
+    assert sims[0, 1] == 0.0
+    assert abs(sims[0, 2] - 1.0) <= 1e-15
+    assert sims[3, 1] == 0.0
 
 
 def test_contrastive_embeddings():
-    e_in, e_out = contrastive_embeddings(0.8, 0.2, m=0.5, tau=0.3)
-    assert abs(e_in - math.exp((0.8 - 0.5) / 0.3)) <= 1e-15
-    assert abs(e_out - math.exp(0.2 / 0.3)) <= 1e-15
+    # one anchor, one intra neighbour at cosine 0.8 and one inter neighbour at
+    # cosine 0.2: the loss is -log(e_in / (e_in + e_out)) with the margin-shifted
+    # intra embedding e_in = exp((0.8 - m) / tau) and e_out = exp(0.2 / tau)
+    feats = np.array([[1.0, 0.0], [0.8, 0.6], [0.2, math.sqrt(0.96)]])
+    nbr = np.array([[1, 2], [0, 0], [0, 0]])
+    intra = np.array([[True, False], [True, True], [True, True]])
+    value, _ = loss_am_indexed(feats, nbr, intra, np.array([0.5, 0.0, 0.0]), 0.3)
+    e_in, e_out = math.exp((0.8 - 0.5) / 0.3), math.exp(0.2 / 0.3)
+    assert abs(value + math.log(e_in / (e_in + e_out))) <= 1e-14
 
 
 def test_loss_value_matches_reference_loop():
     rng = np.random.default_rng(0)
     cfg = MarginConfig()
     for _ in range(20):
-        batch, _ = make_batch(rng)
-        value, _ = loss_am(batch, cfg)
-        assert abs(value - reference_loss(batch, cfg.tau)) <= 1e-12
+        feats, nbr, intra, margins = contrast_batch(rng)
+        value, _ = loss_am_indexed(feats, nbr, intra, margins, cfg.tau)
+        assert abs(value - reference_contrast_loss(feats, nbr, intra, margins, cfg.tau)) <= 1e-12
 
 
 def test_zero_margin_reduces_to_plain_supervised_contrast():
     rng = np.random.default_rng(1)
     cfg = MarginConfig(mu=0.0, nu=0.0)
     for _ in range(20):
-        batch, _ = make_batch(rng, mu=0.0, nu=0.0)
-        assert np.all(batch.margins.values == 0.0)
-        value, _ = loss_am(batch, cfg)
-        assert abs(value - reference_loss(batch, cfg.tau)) <= 1e-12
+        feats, nbr, intra, margins = contrast_batch(rng, mu=0.0, nu=0.0)
+        assert np.all(margins == 0.0)
+        value, _ = loss_am_indexed(feats, nbr, intra, margins, cfg.tau)
+        assert abs(value - reference_contrast_loss(feats, nbr, intra, margins, cfg.tau)) <= 1e-12
 
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(2)
     cfg = MarginConfig()
-    batch, _ = make_batch(rng, n=8, dim=4)
-    _, grad = loss_am(batch, cfg)
-    feats = batch.features
+    feats, nbr, intra, margins = contrast_batch(rng, n=8, dim=4)
+
+    def loss():
+        return loss_am_indexed(feats, nbr, intra, margins, cfg.tau)
+
+    _, grad = loss()
     step = 1e-6
     for i in range(feats.shape[0]):
         for d in range(feats.shape[1]):
             orig = feats[i, d]
             feats[i, d] = orig + step
-            hi, _ = loss_am(batch, cfg)
+            hi, _ = loss()
             feats[i, d] = orig - step
-            lo, _ = loss_am(batch, cfg)
+            lo, _ = loss()
             feats[i, d] = orig
             num = (hi - lo) / (2 * step)
             assert abs(grad[i, d] - num) <= 1e-6 * max(1.0, abs(num))
@@ -149,13 +129,19 @@ def test_feature_gradient_matches_the_pairwise_formula():
 
 def test_all_intra_batch_contributes_nothing():
     rng = np.random.default_rng(3)
-    batch, _ = make_batch(rng, num_classes=1)
-    value, grad = loss_am(batch, MarginConfig())
+    feats, nbr, intra, margins = contrast_batch(rng, num_classes=1)
+    value, grad = loss_am_indexed(feats, nbr, intra, margins, MarginConfig().tau)
     assert value == 0.0
     assert np.all(grad == 0.0)
 
 
 def test_loss_seg_blend():
-    assert loss_seg(2.0, [0.5, 0.5], lam=0.1) == pytest.approx(0.2 + 0.9)
-    with pytest.raises(ValueError):
-        loss_seg(1.0, [0.0], lam=1.5)
+    # l_seg = lam * l_ce + (1 - lam) * sum of the per-stage contrastive losses
+    cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=60, noise_sigma=0.02))
+    cfg = Config(k=8, k_tilde=4, dims=(6, 8), stages=2, lam=0.25)
+    model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
+    result = forward(model, cloud, geometry=build_geometry(cloud, cfg, with_labels=True))
+    _, report = loss_joint(model, result, cloud.labels)
+    assert report.l_seg == pytest.approx(0.25 * report.l_ce + 0.75 * sum(report.l_am), rel=1e-12)
+    with pytest.raises(ConfigError):
+        Config(lam=1.5).validate()

@@ -6,7 +6,8 @@ import pytest
 
 from ambiseg import autograd as ag
 from ambiseg import io as aio
-from ambiseg import network
+from ambiseg import ambiguity, network
+from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config
 from ambiseg.network import (SegModel, _stage_sizes, build_geometry, forward,
@@ -63,12 +64,17 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
         return knn_all(pos, k)
 
     monkeypatch.setattr(network, "knn_all", counted)
+    monkeypatch.setattr(ambiguity, "knn_all", counted)
     geoms = build_geometry(cloud, cfg, with_labels=True)
+    # one search per stage: ambiguity_map reuses the stage's neighbour matrix
     assert calls == [cfg.k] * cfg.stages
-    for geo in geoms:
+    for s, geo in enumerate(geoms, start=1):
         n_s = geo.positions.shape[0]
         np.testing.assert_array_equal(geo.mr_nbr, knn_all(geo.positions, cfg.k_tilde)[:, 1:])
         np.testing.assert_array_equal(geo.nbr_matrix, knn_all(geo.positions, min(cfg.k, n_s)))
+        own_search = ambiguity_map(PointCloud(geo.positions, geo.labels, cloud.num_classes),
+                                   AefConfig(k=min(cfg.k, n_s), beta=cfg.beta), stage=s)
+        np.testing.assert_array_equal(geo.ambiguities, own_search.values)
     # the unlabelled path (predict, eval) searches only k_tilde
     calls.clear()
     unlabelled = build_geometry(cloud, cfg, with_labels=False)
@@ -186,6 +192,13 @@ def test_checkpoint_roundtrip_predictions_bit_identical(tmp_path):
     np.testing.assert_array_equal(amb_a, amb_b)
 
 
+def test_regressor_checkpoint_names_keep_their_layout():
+    names = SegModel(SMALL, feat_dim0=3, num_classes=2).named_arrays()
+    expected = {f"apm{s}.l{t}.{field}" for s in (1, 2) for t in range(6)
+                for field in ("w", "b", "gamma", "beta", "running_mean", "running_var")}
+    assert {name for name in names if name.startswith("apm")} == expected
+
+
 def test_load_arrays_rejects_mismatches():
     model = SegModel(SMALL, feat_dim0=3, num_classes=2)
     arrays = model.named_arrays()
@@ -200,21 +213,25 @@ def test_load_arrays_rejects_mismatches():
         model.load_arrays(bad)
 
 
-def test_refinement_blend_changes_features_when_band_covers_predictions():
+def test_refinement_blend_changes_features_when_band_covers_predictions(monkeypatch):
     # widen the self-mask band to [0, 1] so every point is refined
     cloud = small_cloud()
     cfg_all = dataclasses.replace(SMALL, epsilon_lo=0.0, gamma=0.5)
     model = SegModel(cfg_all, feat_dim0=3, num_classes=cloud.num_classes)
     geo = build_geometry(cloud, cfg_all, with_labels=True)
     with_mr = forward(model, cloud, mode="infer", geometry=geo)
-    without = forward(model, cloud, mode="infer", geometry=geo, use_refine=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(network, "refine", lambda x, *args: x)
+        without = forward(model, cloud, mode="infer", geometry=geo)
     assert not np.array_equal(with_mr.stage_feats[1].data, without.stage_feats[1].data)
     # gamma = 0 leaves features bit-identical to the unrefined pass
     cfg_off = dataclasses.replace(cfg_all, gamma=0.0)
     model_off = SegModel(cfg_off, feat_dim0=3, num_classes=cloud.num_classes)
     geo_off = build_geometry(cloud, cfg_off, with_labels=True)
     a = forward(model_off, cloud, mode="infer", geometry=geo_off)
-    b = forward(model_off, cloud, mode="infer", geometry=geo_off, use_refine=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(network, "refine", lambda x, *args: x)
+        b = forward(model_off, cloud, mode="infer", geometry=geo_off)
     np.testing.assert_array_equal(a.stage_feats[1].data, b.stage_feats[1].data)
 
 

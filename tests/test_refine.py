@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ambiseg.apm import PredictedAmbiguity
-from ambiseg.refine import (MaskSet, RefineConfig, build_masks, cross_mask,
-                            refine_embedding, refine_stage, self_mask)
+from ambiseg import autograd as ag
+from ambiseg.cloud import knn_all
+from ambiseg.refine import MaskSet, RefineConfig, build_masks, refine
+from oracles import cross_mask
 
 
 def test_config_validation():
@@ -19,62 +20,61 @@ def test_config_validation():
 
 def test_self_mask_closed_interval():
     cfg = RefineConfig(epsilon_lo=0.9, epsilon_hi=1.0)
-    assert self_mask(0.9, cfg) == 1
-    assert self_mask(1.0, cfg) == 1
-    assert self_mask(0.95, cfg) == 1
-    assert self_mask(0.899999, cfg) == 0
+    masks = build_masks(np.array([0.9, 1.0, 0.95, 0.899999]), np.zeros((4, 1), dtype=int), cfg)
+    np.testing.assert_array_equal(masks.self_mask, [1, 1, 1, 0])
 
 
 def test_cross_mask_single_and_sum():
     vals = np.array([0.4, 0.1, 0.7, 0.1])
-    pooled, bits = cross_mask(vals, mode="single")
-    assert pooled == 0.1
-    np.testing.assert_array_equal(bits, [0, 1, 0, 0])  # lowest tied index
-    pooled, bits = cross_mask(vals, mode="sum")
-    np.testing.assert_array_equal(bits, [0, 1, 0, 1])  # every minimizer
+    nbr = np.arange(4)[None, :]
+    masks = build_masks(vals, nbr, RefineConfig(cross_mask_mode="single"))
+    assert masks.pooled[0] == 0.1
+    np.testing.assert_array_equal(masks.cross_mask[0], [0, 1, 0, 0])  # lowest tied index
+    masks = build_masks(vals, nbr, RefineConfig(cross_mask_mode="sum"))
+    np.testing.assert_array_equal(masks.cross_mask[0], [0, 1, 0, 1])  # every minimizer
     with pytest.raises(ValueError):
-        cross_mask(np.array([]))
+        build_masks(vals, np.zeros((4, 0), dtype=int), RefineConfig())
 
 
 def test_refine_embedding_blend():
-    f = np.array([1.0, 0.0])
-    nf = np.array([[0.0, 2.0], [4.0, 4.0]])
-    bits = np.array([1, 0])
-    out = refine_embedding(f, nf, self_bit=1, cross_bits=bits, gamma=0.25)
-    np.testing.assert_allclose(out, 0.25 * nf[0] + 0.75 * f)
-    untouched = refine_embedding(f, nf, self_bit=0, cross_bits=bits, gamma=1.0)
-    np.testing.assert_array_equal(untouched, f)
-    with pytest.raises(ValueError):
-        refine_embedding(f, nf, 1, np.array([1]), 1.0)
+    # row 0 is hot and its cross bit picks row 1; row 1 is cold and stays put
+    x = ag.Tensor(np.array([[1.0, 0.0], [0.0, 2.0], [4.0, 4.0]]))
+    pred = np.array([0.95, 0.1, 0.5])
+    nbr = np.array([[1, 2], [2, 0], [0, 1]])
+    out = refine(x, pred, nbr, RefineConfig(gamma=0.25, k_tilde=3))
+    np.testing.assert_allclose(out.data[0], 0.25 * x.data[1] + 0.75 * x.data[0])
+    np.testing.assert_array_equal(out.data[1:], x.data[1:])
+
+
+def _stage(rng, n, d):
+    feats = ag.Tensor(rng.normal(size=(n, d)))
+    nbr = knn_all(rng.normal(size=(n, 3)), 6)[:, 1:]  # anchor excluded from its candidates
+    return feats, nbr
 
 
 def test_refine_stage_noop_is_bit_identical():
     rng = np.random.default_rng(0)
-    feats = rng.normal(size=(30, 8))
-    pos = rng.normal(size=(30, 3))
-    low = PredictedAmbiguity(values=rng.uniform(0.0, 0.5, size=30), stage=1)
-    # gamma = 0
-    out, _ = refine_stage(feats, low, pos, RefineConfig(gamma=0.0, k_tilde=6))
-    np.testing.assert_array_equal(out, feats)
+    feats, nbr = _stage(rng, 30, 8)
+    low = rng.uniform(0.0, 0.5, size=30)
+    # gamma = 0, even with every self bit set
+    assert refine(feats, np.ones(30), nbr, RefineConfig(gamma=0.0, k_tilde=6)) is feats
     # no self bit set
-    out, masks = refine_stage(feats, low, pos, RefineConfig(k_tilde=6))
-    np.testing.assert_array_equal(out, feats)
-    assert not masks.self_mask.any()
+    assert refine(feats, low, nbr, RefineConfig(k_tilde=6)) is feats
+    assert not build_masks(low, nbr, RefineConfig(k_tilde=6)).self_mask.any()
 
 
 def test_refine_stage_uses_snapshot_features():
     # three collinear points; 0 and 1 are both hot and each picks the other
     # side, so 0 must receive 1's ORIGINAL embedding, not its refined one
     pos = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]])
-    feats = np.array([[10.0], [20.0], [30.0]])
-    pred = PredictedAmbiguity(values=np.array([0.95, 0.95, 0.0]), stage=1)
+    feats = ag.Tensor(np.array([[10.0], [20.0], [30.0]]))
+    pred = np.array([0.95, 0.95, 0.0])
     cfg = RefineConfig(gamma=1.0, k_tilde=2)
-    out, masks = refine_stage(feats, pred, pos, cfg)
     # k_tilde=2 keeps one candidate per anchor: nbr(0)={1}, nbr(1)={0}
-    np.testing.assert_array_equal(out[0], [20.0])
-    np.testing.assert_array_equal(out[1], [10.0])
-    np.testing.assert_array_equal(out[2], [30.0])
-    assert list(masks.self_mask) == [1, 1, 0]
+    nbr = knn_all(pos, cfg.k_tilde)[:, 1:]
+    out = refine(feats, pred, nbr, cfg)
+    np.testing.assert_array_equal(out.data[:, 0], [20.0, 10.0, 30.0])
+    assert list(build_masks(pred, nbr, cfg).self_mask) == [1, 1, 0]
 
 
 def test_build_masks_matches_per_row_cross_mask():
