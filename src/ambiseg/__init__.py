@@ -2,7 +2,7 @@
 
 from ambiseg.cloud import PointCloud, SceneSpec, rigid_transform, synth_scene
 from ambiseg.ambiguity import AefConfig, AmbiguityMap, ambiguity_map
-from ambiseg.margin import MarginConfig, MarginMap, margin_map
+from ambiseg.margin import margin_map
 
 __all__ = [
     "PointCloud",
@@ -12,7 +12,5 @@ __all__ = [
     "AefConfig",
     "AmbiguityMap",
     "ambiguity_map",
-    "MarginConfig",
-    "MarginMap",
     "margin_map",
 ]

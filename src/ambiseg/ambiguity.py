@@ -38,7 +38,6 @@ class AefConfig:
 @dataclass(frozen=True)
 class AmbiguityMap:
     values: np.ndarray
-    stage: int = 0
 
 
 def _inverse_sigmoid(z: float) -> float:
@@ -49,7 +48,7 @@ def _inverse_sigmoid(z: float) -> float:
         return 0.0
 
 
-def ambiguity_map(cloud: PointCloud, cfg: AefConfig, stage: int = 0,
+def ambiguity_map(cloud: PointCloud, cfg: AefConfig,
                   nbrs: np.ndarray | None = None) -> AmbiguityMap:
     """Ambiguity for every point.
 
@@ -78,4 +77,4 @@ def ambiguity_map(cloud: PointCloud, cfg: AefConfig, stage: int = 0,
     mixed = np.flatnonzero((n_plus > 1) & (n_plus < cfg.k))
     gap = cfg.beta * (cc_plus[mixed] - cc_minus[mixed])
     values[mixed] = [_inverse_sigmoid(z) for z in gap.tolist()]
-    return AmbiguityMap(values=values, stage=stage)
+    return AmbiguityMap(values=values)

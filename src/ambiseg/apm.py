@@ -91,21 +91,13 @@ def block_forward(z, block: ApmBlock, mode: str = "train",
     return x
 
 
-def loss_reg(pred, target) -> float | ag.Tensor:
-    """Mean absolute error between predicted and geometric ambiguity.
-
-    Accepts a Tensor (returns a graph node) or plain arrays (returns a float).
-    """
-    tgt = np.asarray(getattr(target, "values", target), dtype=np.float64).reshape(-1)
-    if isinstance(pred, ag.Tensor):
-        flat = pred if pred.data.ndim == 1 else _squeeze_col(pred)
-        if flat.data.shape != tgt.shape:
-            raise ValueError("prediction and target lengths differ")
-        return ag.mae(flat, tgt)
-    vals = np.asarray(getattr(pred, "values", pred), dtype=np.float64).reshape(-1)
-    if vals.shape != tgt.shape:
+def loss_reg(pred: ag.Tensor, target: np.ndarray) -> ag.Tensor:
+    """Mean absolute error between predicted and geometric ambiguity, as a graph node."""
+    tgt = np.asarray(target, dtype=np.float64).reshape(-1)
+    flat = pred if pred.data.ndim == 1 else _squeeze_col(pred)
+    if flat.data.shape != tgt.shape:
         raise ValueError("prediction and target lengths differ")
-    return float(np.mean(np.abs(vals - tgt)))
+    return ag.mae(flat, tgt)
 
 
 def _squeeze_col(x: ag.Tensor) -> ag.Tensor:

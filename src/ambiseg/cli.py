@@ -10,8 +10,8 @@ import numpy as np
 from ambiseg import io as aio
 from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.cloud import SceneSpec, synth_scene
-from ambiseg.config import Config, ConfigError, apply_overrides, parse_config
-from ambiseg.margin import MarginConfig, margin_map
+from ambiseg.config import Config, apply_overrides, parse_config
+from ambiseg.margin import margin_map
 from ambiseg.metrics import breakdown, confusion, scores
 from ambiseg.network import SegModel, predict, train
 
@@ -42,8 +42,8 @@ def cmd_ambiguity(args) -> int:
     cfg = _load_config(args)
     cloud = aio.read_cloud(getattr(args, "in"))
     amb = ambiguity_map(cloud, AefConfig(k=min(cfg.k, cloud.n), beta=cfg.beta))
-    margins = margin_map(amb, MarginConfig(mu=cfg.mu, nu=cfg.nu, tau=cfg.tau))
-    aio.write_ambiguity_csv(args.out, cloud, amb.values, margins.values)
+    margins = margin_map(amb.values, cfg.mu, cfg.nu)
+    aio.write_ambiguity_csv(args.out, cloud, amb.values, margins)
     if args.ply:
         aio.write_ply(args.ply, cloud.positions, amb.values)
     print(f"wrote ambiguity for {cloud.n} points to {args.out}")
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as e:

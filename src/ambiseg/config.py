@@ -1,11 +1,16 @@
 """Flat key=value configuration with the S3DIS-style defaults."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
     pass
+
+
+# dataclass field -> file key, where the two differ
+_FILE_KEY = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -26,10 +31,18 @@ class Config:
     lr: float = 0.01
     epochs: int = 150
     seed: int = 0
+    # "sum" keeps every minimizing neighbor per the literal mask definition,
+    # inflating magnitude when ties occur; "single" keeps the lowest index.
     cross_mask_mode: str = "single"
     apm_detach: bool = True
 
     def validate(self) -> None:
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{_FILE_KEY.get(f.name, f.name)} must be finite")
+        for name in ("epsilon_lo", "epsilon_hi", "gamma"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
         if self.epsilon_lo > self.epsilon_hi:
             raise ConfigError("epsilon_lo must be <= epsilon_hi")
         if not 0.0 <= self.lam <= 1.0:
@@ -44,32 +57,38 @@ class Config:
             raise ConfigError("cross_mask_mode must be single or sum")
         if self.k < 2 or self.k_tilde < 2:
             raise ConfigError("k and k_tilde must be >= 2")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
 
 
-# file key -> dataclass field
-_KEY_TO_FIELD = {f.name: f.name for f in fields(Config)} | {"lambda": "lam"}
-del _KEY_TO_FIELD["lam"]
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
 
 
-def _parse_value(key: str, raw: str, lineno: int):
+# (parser, formatter) of each field's text, chosen by the type of its default value
+_TEXT = {int: (int, str), str: (str, str),
+         float: (float, lambda v: format(v, ".9g")),
+         bool: (_parse_bool, lambda v: "true" if v else "false"),
+         tuple: (lambda raw: tuple(int(t) for t in raw.replace(",", " ").split()),
+                 lambda v: ",".join(str(x) for x in v))}
+_FIELDS = {_FILE_KEY.get(f.name, f.name): f for f in fields(Config)}
+
+
+def _assign(cfg: Config, pair: str, lineno: int, where: str) -> Config:
+    """``cfg`` with one ``key = value`` pair applied; ``where`` prefixes an unknown key."""
+    key, _, raw = (part.strip() for part in pair.partition("="))
+    if key not in _FIELDS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    f = _FIELDS[key]
     try:
-        if key in ("k", "k_tilde", "stages", "epochs", "seed"):
-            return int(raw)
-        if key == "dims":
-            return tuple(int(t) for t in raw.replace(",", " ").split())
-        if key == "cross_mask_mode":
-            if raw not in ("single", "sum"):
-                raise ValueError(raw)
-            return raw
-        if key == "apm_detach":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return float(raw)
+        value = _TEXT[type(f.default)][0](raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse value {raw!r} for key {key!r}") from None
+    return replace(cfg, **{f.name: value})
 
 
 def parse_config(text: str, base: Config | None = None) -> Config:
@@ -81,16 +100,8 @@ def parse_config(text: str, base: Config | None = None) -> Config:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        cfg = replace(cfg, **{_KEY_TO_FIELD[key]: _parse_value(key, raw, lineno)})
-    try:
-        cfg.validate()
-    except ConfigError as e:
-        raise ConfigError(str(e)) from None
+        cfg = _assign(cfg, stripped, lineno, f"line {lineno}: ")
+    cfg.validate()
     return cfg
 
 
@@ -99,27 +110,12 @@ def apply_overrides(cfg: Config, pairs: list[str]) -> Config:
     for i, pair in enumerate(pairs, start=1):
         if "=" not in pair:
             raise ConfigError(f"override {pair!r} is not key=value")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"unknown key {key!r}")
-        cfg = replace(cfg, **{_KEY_TO_FIELD[key]: _parse_value(key, raw, i)})
+        cfg = _assign(cfg, pair, i, "")
     cfg.validate()
     return cfg
 
 
 def config_to_text(cfg: Config) -> str:
     """Serialize in the same key=value syntax parse_config accepts."""
-    lines = []
-    for f in fields(Config):
-        key = "lambda" if f.name == "lam" else f.name
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = format(v, ".9g")
-        lines.append(f"{key} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_TEXT[type(f.default)][1](getattr(cfg, f.name))}\n"
+                   for key, f in _FIELDS.items())

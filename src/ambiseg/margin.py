@@ -7,11 +7,8 @@ inter-class neighbors and comes with analytic feature gradients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ambiseg.ambiguity import AmbiguityMap
 from ambiseg.autograd import _row_operator
 
 # Lower clamp on feature norms in cosine similarity; untrained features can be
@@ -19,25 +16,8 @@ from ambiseg.autograd import _row_operator
 NORM_EPSILON = 1e-12
 
 
-@dataclass(frozen=True)
-class MarginConfig:
-    mu: float = -1.0
-    nu: float = 0.5
-    tau: float = 0.3
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-
-
-@dataclass(frozen=True)
-class MarginMap:
-    values: np.ndarray
-    stage: int = 0
-
-
-def margin_map(amb: AmbiguityMap, cfg: MarginConfig) -> MarginMap:
-    return MarginMap(values=cfg.mu * amb.values + cfg.nu, stage=amb.stage)
+def margin_map(ambiguities: np.ndarray, mu: float, nu: float) -> np.ndarray:
+    return mu * ambiguities + nu
 
 
 def loss_am_indexed(feats: np.ndarray, nbr: np.ndarray, intra: np.ndarray,

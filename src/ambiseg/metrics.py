@@ -1,8 +1,6 @@
 """Segmentation metrics (OA, mACC, mIoU) and ambiguity-level breakdowns."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Singleton bins use exact comparison with this tolerance.
@@ -11,16 +9,8 @@ BIN_TOL = 1e-12
 AMBIGUITY_BINS = ("zero", "low", "semi", "high", "one")
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # (C, C), rows = ground truth, columns = prediction
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> ConfusionMatrix:
+def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
+    """(C, C) counts; rows are ground truth, columns are prediction."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
@@ -29,12 +19,12 @@ def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> ConfusionMa
                       or gt.min() < 0 or gt.max() >= num_classes):
         raise ValueError("labels must lie in [0, num_classes)")
     counts = np.bincount(gt * num_classes + pred, minlength=num_classes ** 2)
-    return ConfusionMatrix(counts=counts.reshape(num_classes, num_classes))
+    return counts.reshape(num_classes, num_classes)
 
 
-def scores(cm: ConfusionMatrix) -> tuple[float, float, float]:
+def scores(cm: np.ndarray) -> tuple[float, float, float]:
     """(OA, mACC, mIoU) in percent; classes absent from gt and pred are excluded."""
-    counts = cm.counts.astype(np.float64)
+    counts = cm.astype(np.float64)
     total = counts.sum()
     if total <= 0:
         raise ValueError("confusion matrix is empty")
@@ -50,17 +40,6 @@ def scores(cm: ConfusionMatrix) -> tuple[float, float, float]:
     macc = 100.0 * np.nanmean(np.where(present, acc, np.nan))
     miou = 100.0 * np.nanmean(np.where(present, iou, np.nan))
     return float(oa), float(macc), float(miou)
-
-
-def bin_of(a: float) -> str:
-    """Which of the five ambiguity bins a value falls into."""
-    if abs(a) <= BIN_TOL:
-        return "zero"
-    if abs(a - 0.5) <= BIN_TOL:
-        return "semi"
-    if abs(a - 1.0) <= BIN_TOL:
-        return "one"
-    return "low" if a < 0.5 else "high"
 
 
 def bin_membership(ambiguities: np.ndarray) -> dict[str, np.ndarray]:

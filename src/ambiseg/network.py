@@ -20,8 +20,8 @@ from ambiseg.apm import (LinearBN, block_forward, concat_input, glorot_uniform, 
                          loss_reg)
 from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query, sq_dists
 from ambiseg.config import Config
-from ambiseg.margin import MarginConfig, margin_map
-from ambiseg.refine import RefineConfig, refine
+from ambiseg.margin import margin_map
+from ambiseg.refine import refine
 
 DOWNSAMPLE_RATIO = 0.25
 HEAD_HIDDEN = 16
@@ -126,7 +126,6 @@ def _stage_sizes(n0: int, cfg: Config) -> list[int]:
 def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[StageGeometry]:
     """Static per-cloud structure: sampling, neighborhoods, ambiguities, margins."""
     sizes = _stage_sizes(cloud.n, cfg)
-    mcfg = MarginConfig(mu=cfg.mu, nu=cfg.nu, tau=cfg.tau)
     geoms: list[StageGeometry] = []
     parent_pos = cloud.positions
     parent_lab = cloud.labels if with_labels else None
@@ -149,10 +148,9 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[St
         if lab is not None:
             stage_cloud = PointCloud(pos, lab, cloud.num_classes)
             geo.nbr_matrix = nbrs[:, :k_aef]
-            amb = ambiguity_map(stage_cloud, AefConfig(k=k_aef, beta=cfg.beta), stage=s,
-                                nbrs=geo.nbr_matrix)
-            geo.ambiguities = amb.values
-            geo.margins = margin_map(amb, mcfg).values
+            geo.ambiguities = ambiguity_map(stage_cloud, AefConfig(k=k_aef, beta=cfg.beta),
+                                            nbrs=geo.nbr_matrix).values
+            geo.margins = margin_map(geo.ambiguities, cfg.mu, cfg.nu)
             geo.intra_mask = lab[geo.nbr_matrix] == lab[:, None]
         geoms.append(geo)
         parent_pos, parent_lab = pos, lab
@@ -183,10 +181,6 @@ def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
     if f0.shape[1] != model.feat_dim0:
         raise ValueError(f"initial feature dim {f0.shape[1]} != model dim {model.feat_dim0}")
     feats0 = ag.Tensor(f0)
-
-    refine_cfg = RefineConfig(epsilon_lo=cfg.epsilon_lo, epsilon_hi=cfg.epsilon_hi,
-                              gamma=cfg.gamma, k_tilde=cfg.k_tilde,
-                              cross_mask_mode=cfg.cross_mask_mode)
 
     # encoder
     enc_feats: dict[int, ag.Tensor] = {}
@@ -222,14 +216,14 @@ def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
     # decoder
     stage_feats: dict[int, ag.Tensor] = {}
     g = refine(enc_feats[cfg.stages], pred_amb[cfg.stages],
-               geometry[cfg.stages - 1].mr_nbr, refine_cfg)
+               geometry[cfg.stages - 1].mr_nbr, cfg)
     stage_feats[cfg.stages] = g
     for s in range(cfg.stages - 1, 0, -1):
         geo_child = geometry[s]          # stage s+1 geometry holds up_idx for stage s
         up = ag.weighted_rows(g, geo_child.up_idx, geo_child.up_w)
         x = ag.concat_cols([up, enc_feats[s]])
         g = model.dec[s - 1](x, mode, update_running)
-        g = refine(g, pred_amb[s], geometry[s - 1].mr_nbr, refine_cfg)
+        g = refine(g, pred_amb[s], geometry[s - 1].mr_nbr, cfg)
         stage_feats[s] = g
 
     up0 = ag.weighted_rows(g, geometry[0].up_idx, geometry[0].up_w)
@@ -268,6 +262,15 @@ def loss_joint(model: SegModel, result: ForwardResult, labels: np.ndarray) -> tu
     return total, report
 
 
+def _first_non_finite(report: LossReport) -> str | None:
+    """The first non-finite loss term as "name (stage s) = value", else None."""
+    terms = [("l_ce", report.l_ce)]
+    for name in ("l_am", "l_reg"):
+        terms += [(f"{name} (stage {s})", v) for s, v in enumerate(getattr(report, name), 1)]
+    terms.append(("total loss", report.l_total))
+    return next((f"{name} = {v}" for name, v in terms if not math.isfinite(v)), None)
+
+
 def train(model: SegModel, clouds: list[PointCloud], epochs: int | None = None,
           steps_per_epoch: int = 1) -> list[LossReport]:
     """Momentum SGD with cosine learning-rate decay; deterministic per seed."""
@@ -288,9 +291,9 @@ def train(model: SegModel, clouds: list[PointCloud], epochs: int | None = None,
                 ag.zero_grads(params)
                 result = forward(model, cloud, mode="train", geometry=geometry)
                 total, report = loss_joint(model, result, cloud.labels)
-                if not np.isfinite(report.l_total):
-                    raise RuntimeError(
-                        f"training diverged at epoch {epoch}: total loss {report.l_total}")
+                blown = _first_non_finite(report)
+                if blown:
+                    raise RuntimeError(f"training diverged at epoch {epoch}: {blown}")
                 ag.backward(total)
                 for p, v in zip(params, velocity):
                     if p.grad is not None:

@@ -1,8 +1,8 @@
 """Per-point reference formulas and test-only graph nodes.
 
-The library computes ambiguity, the contrastive loss and the refinement masks
-vectorised over whole stages; the scalar formulas here restate them one point
-at a time so tests can compare the two. ``tsum`` and ``mul`` give gradient
+The library computes ambiguity, the contrastive loss, the refinement masks and
+the ambiguity bins vectorised over whole stages; the scalar formulas here
+restate them one point at a time so tests can compare the two. ``tsum`` and ``mul`` give gradient
 tests a scalar objective without adding primitives to ``ambiseg.autograd``.
 """
 import math
@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from ambiseg import autograd as ag
+from ambiseg.metrics import BIN_TOL
 
 
 def tsum(x: ag.Tensor) -> ag.Tensor:
@@ -103,3 +104,14 @@ def cross_mask(neighbor_ambiguities, mode="single"):
     else:
         bits[int(np.argmin(a))] = 1
     return pooled, bits
+
+
+def bin_of(a: float) -> str:
+    """Which of the five ambiguity bins one value falls into."""
+    if abs(a) <= BIN_TOL:
+        return "zero"
+    if abs(a - 0.5) <= BIN_TOL:
+        return "semi"
+    if abs(a - 1.0) <= BIN_TOL:
+        return "one"
+    return "low" if a < 0.5 else "high"

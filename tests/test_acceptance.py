@@ -10,14 +10,14 @@ from ambiseg import autograd as ag
 from ambiseg import cli
 from ambiseg import cloud as cl
 from ambiseg import io as aio
-from ambiseg.ambiguity import AefConfig, AmbiguityMap, ambiguity_map
+from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.apm import block_forward, concat_input, init_apm_block, loss_reg
 from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config
 from ambiseg.gradcheck import run_gradcheck
-from ambiseg.margin import MarginConfig, loss_am_indexed, margin_map
+from ambiseg.margin import loss_am_indexed, margin_map
 from ambiseg.network import SegModel, build_geometry, forward, train
-from ambiseg.refine import RefineConfig, build_masks, refine
+from ambiseg.refine import build_masks, refine
 from oracles import contrast_batch
 
 
@@ -113,10 +113,10 @@ def test_criterion_02_ambiguity_spot_values():
 
 
 def test_criterion_03_margin_sign_grid():
-    cfg = MarginConfig(mu=-1.0, nu=0.5)
+    cfg = Config(mu=-1.0, nu=0.5)
     grid = np.linspace(0.0, 1.0, 10_000)
-    ok = margin_map(AmbiguityMap(values=np.array([0.5])), cfg).values[0] == 0.0
-    margins = margin_map(AmbiguityMap(values=grid), cfg).values
+    ok = margin_map(np.array([0.5]), cfg.mu, cfg.nu)[0] == 0.0
+    margins = margin_map(grid, cfg.mu, cfg.nu)
     for a, m in zip(grid, margins):
         if a < 0.5:
             ok = ok and (m > 0 or a == 0.5)
@@ -143,7 +143,7 @@ def _plain_supervised_contrast(feats, nbr, intra, tau):
 
 def test_criterion_04_margin_zero_reduction():
     rng = np.random.default_rng(0)
-    cfg = MarginConfig(mu=0.0, nu=0.0)
+    cfg = Config(mu=0.0, nu=0.0)
     worst = 0.0
     for _ in range(100):
         feats, nbr, intra, margins = contrast_batch(rng, mu=0.0, nu=0.0)
@@ -244,18 +244,19 @@ def test_criterion_10_refinement_invariants():
     nbr = knn_all(rng.normal(size=(64, 3)), 6)[:, 1:]  # anchor excluded
     low = rng.uniform(0.0, 0.5, size=64)
     hot = rng.uniform(0.85, 1.0, size=64)
-    noop_ok = (refine(feats, hot, nbr, RefineConfig(gamma=0.0, k_tilde=6)) is feats
-               and refine(feats, low, nbr, RefineConfig(k_tilde=6)) is feats
-               and not build_masks(low, nbr, RefineConfig(k_tilde=6)).self_mask.any())
+    noop_ok = (refine(feats, hot, nbr, Config(gamma=0.0, k_tilde=6)) is feats
+               and refine(feats, low, nbr, Config(k_tilde=6)) is feats
+               and not build_masks(low, nbr, Config(k_tilde=6)).self_mask.any())
 
     # 10,000 rows of 7 neighbour ambiguities on a coarse grid, which forces ties
     vals = np.round(rng.uniform(size=70_000), 1)
     block = np.arange(70_000).reshape(10_000, 7)
-    masks = build_masks(vals, block, RefineConfig(k_tilde=8))
+    masks = build_masks(vals, block, Config(k_tilde=8))
     pool_ok, single_ok = True, True
-    for row, pooled, bits in zip(block, masks.pooled, masks.cross_mask):
+    for row, bits in zip(block, masks.cross_mask):
         row_vals = vals[row]
-        pool_ok = pool_ok and pooled == min(float(v) for v in row_vals)
+        # the min-pooled value is the one the cross mask marks
+        pool_ok = pool_ok and row_vals[bits == 1][0] == min(float(v) for v in row_vals)
         single_ok = single_ok and bits.sum() == 1 and bits[int(np.argmin(row_vals))] == 1
     report(10, "masked refinement invariants", noop_ok and pool_ok and single_ok,
            f"noop {noop_ok}, min-pool {pool_ok}, single-bit {single_ok}")

@@ -72,18 +72,16 @@ def test_predict_ambiguity_is_detached_copy():
         np.testing.assert_array_equal(layer.bn.running_var, var)
 
 
-def test_loss_reg_array_and_tensor_paths_agree():
+def test_loss_reg_matches_numpy_mean_absolute_error():
     rng = np.random.default_rng(4)
     pred = rng.uniform(size=12)
     target = rng.uniform(size=12)
-    plain = loss_reg(pred, target)
+    plain = float(np.mean(np.abs(pred - target)))
     node = loss_reg(ag.Tensor(pred[:, None], requires_grad=True), target)
-    assert isinstance(plain, float)
     assert isinstance(node, ag.Tensor)
     assert plain == pytest.approx(node.item(), abs=1e-15)
-    assert plain == pytest.approx(np.mean(np.abs(pred - target)))
     with pytest.raises(ValueError):
-        loss_reg(pred, target[:5])
+        loss_reg(ag.Tensor(pred[:, None]), target[:5])
 
 
 def test_block_trains_toward_target():

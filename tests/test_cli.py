@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ambiseg import cli
 from ambiseg import io as aio
@@ -156,3 +157,74 @@ def test_predict_csv_matches_in_process_model(tmp_path):
     got_amb = np.array([float(r.split(",")[2]) for r in rows])
     np.testing.assert_array_equal(got_labels, labels)
     np.testing.assert_allclose(got_amb, amb, rtol=1e-8)
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
+
+
+def test_bad_config_values_exit_1_with_one_line(tmp_path, capsys):
+    cloud_path = tmp_path / "scene.txt"
+    run(["synth", "--kind", "planar-boundary", "--points-per-class", "40",
+         "--out", str(cloud_path)])
+    cases = [("ambiguity", "gamma=2", "gamma must lie in [0, 1]"),
+             ("ambiguity", "beta=nan", "beta must be finite"),
+             ("ambiguity", "mu=inf", "mu must be finite"),
+             ("train", "epochs=0", "epochs must be >= 1"),
+             ("train", "epochs=-2", "epochs must be >= 1"),
+             ("train", "cross_mask_mode=avg", "cross_mask_mode must be single or sum")]
+    for command, pair, message in cases:
+        capsys.readouterr()
+        assert run([command, "--in", str(cloud_path), "--out", str(tmp_path / "out"),
+                    "--set", pair]) == cli.EXIT_USAGE, pair
+        assert message in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+
+def test_directory_paths_exit_1_with_one_line(tmp_path, capsys):
+    cloud_path = tmp_path / "scene.txt"
+    run(["synth", "--kind", "planar-boundary", "--points-per-class", "40",
+         "--out", str(cloud_path)])
+    for argv in (["ambiguity", "--in", str(tmp_path), "--out", str(tmp_path / "o.csv")],
+                 ["ambiguity", "--in", str(cloud_path), "--out", str(tmp_path)],
+                 ["synth", "--kind", "two-rooms", "--out", str(tmp_path)],
+                 ["predict", "--in", str(cloud_path), "--checkpoint", str(tmp_path),
+                  "--out", str(tmp_path / "p.csv")],
+                 ["train", "--in", str(cloud_path), "--config", str(tmp_path),
+                  "--out", str(tmp_path / "m.ckpt")]):
+        capsys.readouterr()
+        assert run(argv) == cli.EXIT_USAGE, argv
+        assert str(tmp_path) in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("term, stage, message", [
+    ("l_ce", None, "training diverged at epoch 1: l_ce = nan"),
+    ("l_am", 2, "training diverged at epoch 1: l_am (stage 2) = nan"),
+    ("l_reg", 1, "training diverged at epoch 1: l_reg (stage 1) = nan"),
+], ids=["l_ce", "l_am", "l_reg"])
+def test_divergence_names_the_loss_term(tmp_path, capsys, monkeypatch, term, stage, message):
+    import ambiseg.network as network
+    real = network.loss_joint
+    calls = []
+
+    def poisoned(model, result, labels):
+        # the second epoch's report carries one non-finite term; the graph is untouched
+        total, report = real(model, result, labels)
+        calls.append(1)
+        if len(calls) == 2:
+            if stage is None:
+                setattr(report, term, float("nan"))
+            else:
+                getattr(report, term)[stage - 1] = float("nan")
+        return total, report
+
+    monkeypatch.setattr(network, "loss_joint", poisoned)
+    cloud_path = tmp_path / "scene.txt"
+    run(["synth", "--kind", "planar-boundary", "--points-per-class", "40",
+         "--out", str(cloud_path)])
+    capsys.readouterr()
+    assert run(["train", "--in", str(cloud_path), "--out", str(tmp_path / "m.ckpt")]
+               + TINY) == cli.EXIT_RUNTIME
+    assert _one_error_line(capsys) == f"runtime failure: {message}\n"

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ambiseg import io as aio
 from ambiseg.cloud import PointCloud
 from ambiseg.config import Config
+from ambiseg.network import SegModel, predict
 
 
 def random_cloud(rng, n=25, with_features=False):
@@ -115,3 +118,21 @@ def test_fmt_is_compact():
     assert aio.fmt(0.5) == "0.5"
     assert aio.fmt(1.0) == "1"
     assert aio.fmt(1.0 / 3.0) == "0.333333333"
+
+
+def test_frozen_checkpoint_loads_and_predicts():
+    # written by an earlier version of ambiseg (dims 4,8, three epochs on a 48-point
+    # planar-boundary cloud, refinement on every point in "sum" mode); the checkpoint
+    # format and the inference path must keep reading it the same way
+    data = Path(__file__).parent / "data"
+    cfg, arrays, extra = aio.load_checkpoint(data / "frozen_model.ckpt")
+    assert cfg == Config(k=8, k_tilde=4, dims=(4, 8), epochs=3, seed=5, epsilon_lo=0.0,
+                         gamma=0.5, cross_mask_mode="sum")
+    assert extra == {"feat_dim0": 3, "num_classes": 2}
+    model = SegModel(cfg, feat_dim0=extra["feat_dim0"], num_classes=extra["num_classes"])
+    model.load_arrays(arrays)
+    labels, amb = predict(model, aio.read_cloud(data / "frozen_cloud.txt", num_classes=2))
+    rows = [line.split(",") for line in (data / "frozen_predict.csv").read_text().splitlines()]
+    assert rows[0] == ["index", "label", "ambiguity"] and len(rows) == 49
+    np.testing.assert_array_equal(labels, [int(r[1]) for r in rows[1:]])
+    np.testing.assert_allclose(amb, [float(r[2]) for r in rows[1:]], rtol=0, atol=1e-9)

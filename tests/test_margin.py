@@ -3,28 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from ambiseg.ambiguity import AmbiguityMap
 from ambiseg.cloud import SceneSpec, synth_scene
 from ambiseg.config import Config, ConfigError
-from ambiseg.margin import (NORM_EPSILON, MarginConfig, _loss_am_core, loss_am_indexed,
-                            margin_map)
+from ambiseg.margin import NORM_EPSILON, _loss_am_core, loss_am_indexed, margin_map
 from ambiseg.network import SegModel, build_geometry, forward, loss_joint
 from oracles import contrast_batch, reference_contrast_loss
 
 
 def test_margin_arithmetic():
-    cfg = MarginConfig(mu=-1.0, nu=0.5)
-    mm = margin_map(AmbiguityMap(values=np.array([0.5, 0.0, 1.0])), cfg)
-    assert list(mm.values) == [0.0, 0.5, -0.5]
-    with pytest.raises(ValueError):
-        MarginConfig(tau=0.0)
+    cfg = Config(mu=-1.0, nu=0.5)
+    mm = margin_map(np.array([0.5, 0.0, 1.0]), cfg.mu, cfg.nu)
+    assert list(mm) == [0.0, 0.5, -0.5]
+    with pytest.raises(ConfigError):
+        Config(tau=0.0).validate()
 
 
 def test_margin_map_is_linear():
-    amb = AmbiguityMap(values=np.array([0.0, 0.25, 0.5, 1.0]), stage=2)
-    mm = margin_map(amb, MarginConfig(mu=-1.0, nu=0.5))
-    np.testing.assert_allclose(mm.values, [0.5, 0.25, 0.0, -0.5])
-    assert mm.stage == 2
+    mm = margin_map(np.array([0.0, 0.25, 0.5, 1.0]), -1.0, 0.5)
+    np.testing.assert_allclose(mm, [0.5, 0.25, 0.0, -0.5])
 
 
 def test_cosine_sim():
@@ -54,7 +50,7 @@ def test_contrastive_embeddings():
 
 def test_loss_value_matches_reference_loop():
     rng = np.random.default_rng(0)
-    cfg = MarginConfig()
+    cfg = Config()
     for _ in range(20):
         feats, nbr, intra, margins = contrast_batch(rng)
         value, _ = loss_am_indexed(feats, nbr, intra, margins, cfg.tau)
@@ -63,7 +59,7 @@ def test_loss_value_matches_reference_loop():
 
 def test_zero_margin_reduces_to_plain_supervised_contrast():
     rng = np.random.default_rng(1)
-    cfg = MarginConfig(mu=0.0, nu=0.0)
+    cfg = Config(mu=0.0, nu=0.0)
     for _ in range(20):
         feats, nbr, intra, margins = contrast_batch(rng, mu=0.0, nu=0.0)
         assert np.all(margins == 0.0)
@@ -73,7 +69,7 @@ def test_zero_margin_reduces_to_plain_supervised_contrast():
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(2)
-    cfg = MarginConfig()
+    cfg = Config()
     feats, nbr, intra, margins = contrast_batch(rng, n=8, dim=4)
 
     def loss():
@@ -130,7 +126,7 @@ def test_feature_gradient_matches_the_pairwise_formula():
 def test_all_intra_batch_contributes_nothing():
     rng = np.random.default_rng(3)
     feats, nbr, intra, margins = contrast_batch(rng, num_classes=1)
-    value, grad = loss_am_indexed(feats, nbr, intra, margins, MarginConfig().tau)
+    value, grad = loss_am_indexed(feats, nbr, intra, margins, Config().tau)
     assert value == 0.0
     assert np.all(grad == 0.0)
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ambiseg.metrics import (bin_membership, bin_of, breakdown, confusion,
-                             scores)
+from ambiseg.metrics import AMBIGUITY_BINS, bin_membership, breakdown, confusion, scores
+from oracles import bin_of
 
 
 def test_confusion_counts():
@@ -14,8 +14,8 @@ def test_confusion_counts():
     expected = np.array([[1, 0, 0],
                          [1, 1, 0],
                          [0, 1, 1]])
-    np.testing.assert_array_equal(cm.counts, expected)
-    assert cm.total == 5
+    np.testing.assert_array_equal(cm, expected)
+    assert cm.sum() == 5
     with pytest.raises(ValueError):
         confusion(pred, gt[:3], 3)
     with pytest.raises(ValueError):
@@ -55,6 +55,13 @@ def test_bin_of_singletons_and_ranges():
     assert bin_of(1e-13) == "zero"  # inside singleton tolerance
     assert bin_of(0.2) == "low"
     assert bin_of(0.7) == "high"
+    # bin_membership puts each value in the bin the per-point oracle names
+    a = np.array([0.0, 1e-13, -1e-13, 0.2, 0.5 - 1e-13, 0.5, 0.5 + 2e-12, 0.7,
+                  1.0 - 1e-13, 1.0, 1.0 + 1e-13])
+    bins = bin_membership(a)
+    assert tuple(bins) == AMBIGUITY_BINS
+    for i, v in enumerate(a):
+        assert [name for name, mask in bins.items() if mask[i]] == [bin_of(float(v))]
 
 
 def test_bin_membership_partitions():

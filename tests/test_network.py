@@ -68,12 +68,12 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
     geoms = build_geometry(cloud, cfg, with_labels=True)
     # one search per stage: ambiguity_map reuses the stage's neighbour matrix
     assert calls == [cfg.k] * cfg.stages
-    for s, geo in enumerate(geoms, start=1):
+    for geo in geoms:
         n_s = geo.positions.shape[0]
         np.testing.assert_array_equal(geo.mr_nbr, knn_all(geo.positions, cfg.k_tilde)[:, 1:])
         np.testing.assert_array_equal(geo.nbr_matrix, knn_all(geo.positions, min(cfg.k, n_s)))
         own_search = ambiguity_map(PointCloud(geo.positions, geo.labels, cloud.num_classes),
-                                   AefConfig(k=min(cfg.k, n_s), beta=cfg.beta), stage=s)
+                                   AefConfig(k=min(cfg.k, n_s), beta=cfg.beta))
         np.testing.assert_array_equal(geo.ambiguities, own_search.values)
     # the unlabelled path (predict, eval) searches only k_tilde
     calls.clear()
