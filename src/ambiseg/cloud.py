@@ -7,16 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-# knn_query takes candidates from a kd-tree when the reference set has more
-# points than this, else from blocked brute force; both re-rank them by the
-# (squared distance, index) rule and agree exactly.
-KDTREE_CUTOFF = 4096
+# knn_query always takes its candidates from a kd-tree. Nothing in the library
+# reads this; it stays 0 for scripts that record it.
+KDTREE_CUTOFF = 0
 # Extra candidates per query beyond k, so ties at the k-th distance are rarely
 # cut off by the candidate boundary and rows seldom take the exact fallback.
 _KNN_SLACK = 8
-# Distance entries per brute-force block of query rows: 512 KB of float64,
-# small enough for the block's temporaries to stay in cache.
-_BRUTE_BLOCK_ELEMS = 1 << 16
+# Candidate entries per block of query rows: the block's (rows, k + slack)
+# index and distance arrays stay at 256 KB each, whatever the query count.
+_BLOCK_ELEMS = 1 << 15
 
 SCENE_KINDS = ("two-rooms", "planar-boundary", "checker-columns")
 
@@ -87,18 +86,6 @@ class SceneSpec:
             raise ValueError("noise_sigma must be >= 0")
 
 
-def _select_k(d2: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries of d2, ties broken by ascending index."""
-    n = d2.shape[0]
-    if k == n:
-        cand = np.arange(n)
-    else:
-        kth = np.partition(d2, k - 1)[k - 1]
-        cand = np.nonzero(d2 <= kth)[0]
-    order = np.lexsort((cand, d2[cand]))
-    return cand[order][:k]
-
-
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between broadcast point arrays (..., 3) by the library rule.
 
@@ -110,90 +97,69 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
 
 
-def _rank(cand: np.ndarray, cd2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row of candidates and their squared distances by (distance, index)."""
-    order = np.lexsort((cand, cd2), axis=1)
-    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(cd2, order, axis=1)
-
-
-def _brute_candidates(ref: np.ndarray, queries: np.ndarray, kc: int, k: int,
-                      out: np.ndarray) -> None:
-    """Exact k-NN by blocks of query rows: column-wise distances, argpartition, re-rank."""
-    n = ref.shape[0]
-    rx, ry, rz = (np.ascontiguousarray(ref[:, j]) for j in range(3))
-    block = max(1, _BRUTE_BLOCK_ELEMS // n)
-    for lo in range(0, queries.shape[0], block):
-        q = queries[lo:lo + block]
-        b = q.shape[0]
-        d2 = np.subtract.outer(q[:, 0], rx)
-        d2 *= d2
-        t = np.subtract.outer(q[:, 1], ry)
-        t *= t
-        d2 += t
-        np.subtract.outer(q[:, 2], rz, out=t)
-        t *= t
-        d2 += t
-        if kc < n:
-            cand = np.argpartition(d2, kc - 1, axis=1)[:, :kc]
-        else:
-            cand = np.broadcast_to(np.arange(n), (b, n))
-        cand, cd2 = _rank(cand, np.take_along_axis(d2, cand, axis=1))
-        out[lo:lo + b] = cand[:, :k]
-        if kc < n:
-            # A row whose k-th distance ties the last candidate may have equally
-            # near points with lower indices outside its candidates.
-            for r in np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1]):
-                out[lo + r] = _select_k(d2[r], k)
-
-
-def _kdtree_candidates(ref: np.ndarray, queries: np.ndarray, kc: int, k: int,
-                       out: np.ndarray) -> None:
-    """Exact k-NN from one batched kd-tree query, re-ranked by the library rule."""
-    n = ref.shape[0]
-    tree = cKDTree(ref)
-    _, cand = tree.query(queries, k=kc)
-    cand = cand.reshape(queries.shape[0], kc)
-    cand, cd2 = _rank(cand, sq_dists(ref[cand], queries[:, None, :]))
-    out[:] = cand[:, :k]
-    if kc == n:
-        return
-    # The tree ranks by its own rounding of the distance. Points outside the
-    # candidates are at least as far as the last one up to that rounding, so
-    # the top k are settled only when the k-th distance stays clearly below it.
-    unsettled = np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9))
-    if unsettled.size == 0:
-        return
-    # Inflate the radius slightly so boundary ties survive metric rounding,
-    # then re-rank the ball with the exact rule.
-    radii = np.sqrt(cd2[unsettled, k - 1]) * (1 + 1e-9) + 1e-300
-    balls = tree.query_ball_point(queries[unsettled], radii)
-    for r, ball in zip(unsettled, balls):
-        ball = np.asarray(ball, dtype=np.int64)
-        d2 = sq_dists(ref[ball], queries[r])
-        out[r] = ball[np.lexsort((ball, d2))][:k]
-
-
 def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """(m, k) indices of the k nearest ``ref`` rows to each query row.
 
     Ranks by (squared distance from ``sq_dists``, index): ties go to the lower
-    index. Candidates come from one batched call, a kd-tree above
-    ``KDTREE_CUTOFF`` reference points and blocked brute force at or below it;
-    both re-rank them exactly, so the two paths agree bit for bit.
+    index. A kd-tree, queried in blocks of rows, proposes ``k + _KNN_SLACK``
+    candidates per row; their distances are recomputed by the library rule and
+    re-ranked, and a row whose k-th candidate may tie a point outside them is
+    settled exactly from a ball query.
     """
     ref = np.asarray(ref, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
-    n = ref.shape[0]
+    n, m = ref.shape[0], queries.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"K={k} must satisfy 1 <= K <= n={n}")
-    out = np.empty((queries.shape[0], k), dtype=np.int64)
-    if queries.shape[0] == 0:
+    out = np.empty((m, k), dtype=np.int64)
+    if m == 0:
         return out
     kc = min(k + _KNN_SLACK, n)
-    if n > KDTREE_CUTOFF:
-        _kdtree_candidates(ref, queries, kc, k, out)
-    else:
-        _brute_candidates(ref, queries, kc, k, out)
+    tree = cKDTree(ref)
+    cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
+    block = max(1, _BLOCK_ELEMS // kc)
+    for lo in range(0, m, block):
+        q = queries[lo:lo + block]
+        # One thread on purpose: threaded queries (workers=-1) lost end to end
+        # on a 2-core host, competing with the BLAS threads of the forward pass.
+        _, cand = tree.query(q, k=kc)
+        cand = cand.reshape(q.shape[0], kc)
+        # (dx^2 + dy^2) + dz^2 column by column, the float sequence of sq_dists
+        cd2 = np.take(cols[0], cand)
+        cd2 -= q[:, 0:1]
+        cd2 *= cd2
+        t = np.empty_like(cd2)
+        for j in (1, 2):
+            np.take(cols[j], cand, out=t)
+            t -= q[:, j:j + 1]
+            t *= t
+            cd2 += t
+        # The indices in a row are distinct, so a row already in (distance,
+        # index) order is exactly what the lexsort would return.
+        prev, nxt = cd2[:, :-1], cd2[:, 1:]
+        disordered = (nxt < prev) | ((nxt == prev) & (cand[:, 1:] < cand[:, :-1]))
+        bad = np.flatnonzero(disordered.any(axis=1))
+        if bad.size:
+            order = np.lexsort((cand[bad], cd2[bad]), axis=1)
+            cand[bad] = np.take_along_axis(cand[bad], order, axis=1)
+            cd2[bad] = np.take_along_axis(cd2[bad], order, axis=1)
+        out[lo:lo + q.shape[0]] = cand[:, :k]
+        if kc == n:
+            continue
+        # The tree ranks by its own rounding of the distance. Points outside the
+        # candidates are at least as far as the last one up to that rounding, so
+        # the top k are settled only when the k-th distance stays clearly below it.
+        unsettled = np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9))
+        if unsettled.size == 0:
+            continue
+        # Inflate the radius slightly so boundary ties survive metric rounding,
+        # then re-rank the ball with the exact rule.
+        radii = np.sqrt(cd2[unsettled, k - 1]) * (1 + 1e-9) + 1e-300
+        balls = tree.query_ball_point(q[unsettled], radii)
+        for r, ball in zip(unsettled, balls):
+            ball = np.asarray(ball, dtype=np.int64)
+            d2 = sq_dists(ref[ball], q[r])
+            out[lo + r] = ball[np.lexsort((ball, d2))][:k]
     return out
 
 

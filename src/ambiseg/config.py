@@ -49,10 +49,14 @@ class Config:
             raise ConfigError("lambda must lie in [0, 1]")
         if self.tau <= 0:
             raise ConfigError("tau must be > 0")
+        if self.beta <= 0:
+            raise ConfigError("beta must be > 0")
         if self.stages < 1:
             raise ConfigError("stages must be >= 1")
         if len(self.dims) != self.stages:
             raise ConfigError("dims must list one width per stage")
+        if min(self.dims) < 1:
+            raise ConfigError("dims widths must be >= 1")
         if self.cross_mask_mode not in ("single", "sum"):
             raise ConfigError("cross_mask_mode must be single or sum")
         if self.k < 2 or self.k_tilde < 2:
@@ -71,7 +75,7 @@ def _parse_bool(raw: str) -> bool:
 
 # (parser, formatter) of each field's text, chosen by the type of its default value
 _TEXT = {int: (int, str), str: (str, str),
-         float: (float, lambda v: format(v, ".9g")),
+         float: (float, lambda v: repr(float(v))),
          bool: (_parse_bool, lambda v: "true" if v else "false"),
          tuple: (lambda raw: tuple(int(t) for t in raw.replace(",", " ").split()),
                  lambda v: ",".join(str(x) for x in v))}

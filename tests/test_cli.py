@@ -174,7 +174,10 @@ def test_bad_config_values_exit_1_with_one_line(tmp_path, capsys):
              ("ambiguity", "mu=inf", "mu must be finite"),
              ("train", "epochs=0", "epochs must be >= 1"),
              ("train", "epochs=-2", "epochs must be >= 1"),
-             ("train", "cross_mask_mode=avg", "cross_mask_mode must be single or sum")]
+             ("train", "cross_mask_mode=avg", "cross_mask_mode must be single or sum"),
+             ("ambiguity", "beta=0", "beta must be > 0"),
+             ("train", "dims=0,8", "dims widths must be >= 1"),
+             ("train", "dims=-4,8", "dims widths must be >= 1")]
     for command, pair, message in cases:
         capsys.readouterr()
         assert run([command, "--in", str(cloud_path), "--out", str(tmp_path / "out"),

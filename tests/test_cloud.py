@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,13 +74,12 @@ def test_knn_tie_break_by_index():
     np.testing.assert_array_equal(idx, [0, 2, 3])
 
 
-def test_knn_kdtree_path_agrees_with_brute(monkeypatch):
+def test_knn_kdtree_path_agrees_with_brute():
     rng = np.random.default_rng(11)
     pos = rng.normal(size=(300, 3))
     # force exact ties by duplicating a block of points
     pos[150:180] = pos[:30]
     expected = np.stack([brute_knn(pos, i, 16) for i in range(300)])
-    monkeypatch.setattr(cl, "KDTREE_CUTOFF", 1)
     got = knn_all(pos, 16)
     np.testing.assert_array_equal(got, expected)
 
@@ -110,48 +111,32 @@ def knn_oracle(ref, queries, k):
     return np.asarray(rows, dtype=np.int64).reshape(len(queries), k)
 
 
-@pytest.fixture(params=["kdtree", "brute"])
-def knn_path(request, monkeypatch):
-    """Select a knn_query candidate path for a reference set of n points."""
-    def use(n):
-        monkeypatch.setattr(cl, "KDTREE_CUTOFF", 1 if request.param == "kdtree" else n)
-    return use
-
-
 @pytest.fixture
 def fallback_rows(monkeypatch):
-    """Count the rows that leave the batched candidates for the exact fallback."""
+    """Count the rows that leave the batched candidates for the exact ball fallback."""
     count = [0]
-    select_k = cl._select_k
-
-    def counting_select_k(d2, k):
-        count[0] += 1
-        return select_k(d2, k)
 
     class CountingTree(cl.cKDTree):
         def query_ball_point(self, x, r, *args, **kwargs):
             count[0] += len(x)
             return super().query_ball_point(x, r, *args, **kwargs)
 
-    monkeypatch.setattr(cl, "_select_k", counting_select_k)
     monkeypatch.setattr(cl, "cKDTree", CountingTree)
     return lambda: count[0]
 
 
-def test_knn_query_matches_oracle(knn_path):
+def test_knn_query_matches_oracle():
     rng = np.random.default_rng(21)
     ref = rng.normal(size=(300, 3))
     ref[150:180] = ref[:30]  # exact duplicates
     # queries off the reference set, plus some that coincide with duplicated rows
     queries = np.vstack([rng.normal(size=(40, 3)), ref[:10], ref[160:165]])
-    knn_path(ref.shape[0])
     for k in (1, 3, 16, 40, 300):
         np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
 
 
-def test_knn_query_lattice_ties_take_the_exact_fallback(knn_path, fallback_rows):
+def test_knn_query_lattice_ties_take_the_exact_fallback(fallback_rows):
     pos = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
-    knn_path(pos.shape[0])
     for k in (8, 24):
         np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
     assert fallback_rows() > 0
@@ -167,11 +152,47 @@ def test_knn_query_property_on_integer_grids(n, extent, seed, k_frac):
     # queries on the half-step grid, so some sit between reference points
     queries = rng.integers(0, 2 * extent + 1, size=(25, 3)) / 2.0
     k = 1 + int(k_frac ** 2 * (n - 1))
-    expected = knn_oracle(ref, queries, k)
-    with pytest.MonkeyPatch.context() as mp:
-        for cutoff in (1, n):
-            mp.setattr(cl, "KDTREE_CUTOFF", cutoff)
-            np.testing.assert_array_equal(knn_query(ref, queries, k), expected)
+    np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
+
+
+def test_knn_query_blocks_keep_their_row_offsets(monkeypatch):
+    # Blocks of a few rows split the 600-point lattice into hundreds of tree
+    # queries; the exact fallback must write back to the rows of its own block.
+    monkeypatch.setattr(cl, "_BLOCK_ELEMS", 64)
+    calls = []
+
+    class BlockTree(cl.cKDTree):
+        def query(self, *args, **kwargs):
+            calls.append("query")
+            return super().query(*args, **kwargs)
+
+        def query_ball_point(self, *args, **kwargs):
+            calls.append("ball")
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "cKDTree", BlockTree)
+    pos = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
+    for k in (8, 24):
+        calls.clear()
+        np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
+        blocks = calls.count("query")
+        assert blocks >= 600 // (64 // (k + cl._KNN_SLACK))
+        # the block index of each fallback is the number of tree queries before it
+        fallback_blocks = [calls[:i].count("query") for i, c in enumerate(calls) if c == "ball"]
+        assert max(fallback_blocks) > 1
+
+
+def test_knn_all_memory_stays_bounded_by_blocks():
+    # Unblocked, the (n, k + slack) candidate arrays on this lattice peak at
+    # about 8 MiB; blocks keep the peak at about 3.4 MiB.
+    pos = synth_scene(SceneSpec("planar-boundary", points_per_class=2040)).positions
+    tracemalloc.start()
+    try:
+        knn_all(pos, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"knn_all peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_build_geometry_upsampling_follows_the_tie_rule_on_a_lattice():

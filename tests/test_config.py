@@ -81,6 +81,9 @@ def test_text_roundtrip():
     cfg = Config(k=9, lam=0.37, dims=(4, 8), cross_mask_mode="sum", apm_detach=False)
     assert parse_config(config_to_text(cfg)) == cfg
     assert parse_config(config_to_text(Config())) == Config()
+    # floats keep every digit, not only the first nine
+    fine = Config(lr=0.0123456789012, epsilon_lo=0.12345678901, beta=1 / 3, mu=-1e-300)
+    assert parse_config(config_to_text(fine)) == fine
 
 
 # (bad line, message from parse_config, message from apply_overrides or None for
@@ -100,9 +103,13 @@ BAD_VALUES = [
     ("lambda = -0.1", "lambda must lie in [0, 1]", None),
     ("tau = 0", "tau must be > 0", None),
     ("tau = -1", "tau must be > 0", None),
+    ("beta = 0", "beta must be > 0", None),
+    ("beta = -0.5", "beta must be > 0", None),
     ("stages = 0", "stages must be >= 1", None),
     ("stages = 3", "dims must list one width per stage", None),
     ("dims = 8", "dims must list one width per stage", None),
+    ("dims = 0,8", "dims widths must be >= 1", None),
+    ("dims = 16,-4", "dims widths must be >= 1", None),
     ("k = 1", "k and k_tilde must be >= 2", None),
     ("k_tilde = 1", "k and k_tilde must be >= 2", None),
     ("cross_mask_mode = avg", "cross_mask_mode must be single or sum", None),

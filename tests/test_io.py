@@ -91,7 +91,8 @@ def test_read_ply_rejects_other_files(tmp_path):
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    cfg = Config(k=9, dims=(4, 8), lam=0.37)
+    # floats past nine significant digits must survive exactly
+    cfg = Config(k=9, dims=(4, 8), lam=0.37, lr=0.0123456789012, epsilon_lo=0.12345678901)
     arrays = {
         "layer.w": rng.normal(size=(4, 7)),
         "layer.b": rng.normal(size=4),
@@ -101,6 +102,7 @@ def test_checkpoint_roundtrip(tmp_path):
     aio.save_checkpoint(path, cfg, arrays, extra={"feat_dim0": 3, "num_classes": 5})
     cfg2, arrays2, extra = aio.load_checkpoint(path)
     assert cfg2 == cfg
+    assert (cfg2.lr, cfg2.epsilon_lo) == (0.0123456789012, 0.12345678901)
     assert extra == {"feat_dim0": 3, "num_classes": 5}
     assert set(arrays2) == set(arrays)
     for name in arrays:

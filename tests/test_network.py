@@ -86,7 +86,7 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
 def test_build_geometry_memory_stays_linear_in_n():
     # The 8,193-point cloud's dense (n_parent x n_s) upsampling matrix alone
     # would be 134 MB; the neighbour searches keep O(n k) state plus a
-    # bounded brute-force block.
+    # bounded block of kNN query rows.
     cloud = synth_scene(SceneSpec("two-rooms", points_per_class=2731,
                                   noise_sigma=0.02, seed=0))
     tracemalloc.start()
