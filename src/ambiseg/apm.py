@@ -1,14 +1,12 @@
 """Per-stage MLP regressor of point ambiguity.
 
-Each block maps the concatenated (position, feature) vector through six
-affine -> batch-norm -> sigmoid layers down to a single value in (0, 1),
-supervised by mean absolute error against the geometric ambiguity. Those
-layers are ``LinearBN`` units, the affine -> batch-norm -> activation unit the
-whole network is built from.
+Each regressor is a list of six ``LinearBN`` units, the affine -> batch-norm ->
+activation unit the whole network is built from, here with sigmoid
+activations. It maps the concatenated (position, feature) vector down to a
+single value in (0, 1), supervised by mean absolute error against the
+geometric ambiguity.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,29 +40,16 @@ class LinearBN:
     def parameters(self):
         return [self.w, self.b, self.gamma, self.beta]
 
-    def named_arrays(self, prefix: str):
-        return {
-            f"{prefix}.w": self.w.data,
-            f"{prefix}.b": self.b.data,
-            f"{prefix}.gamma": self.gamma.data,
-            f"{prefix}.beta": self.beta.data,
-            f"{prefix}.running_mean": self.bn.running_mean,
-            f"{prefix}.running_var": self.bn.running_var,
-        }
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Checkpoint field name -> live array, parameters first."""
+        return {"w": self.w.data, "b": self.b.data, "gamma": self.gamma.data,
+                "beta": self.beta.data, "running_mean": self.bn.running_mean,
+                "running_var": self.bn.running_var}
 
 
-@dataclass
-class ApmBlock:
-    dims: tuple[int, ...]
-    layers: list[LinearBN] = field(default_factory=list)
-
-
-def init_apm_block(feat_dim: int, rng: np.random.Generator) -> ApmBlock:
+def init_apm_block(feat_dim: int, rng: np.random.Generator) -> list[LinearBN]:
     dims = (3 + feat_dim,) + APM_CHANNELS
-    block = ApmBlock(dims=dims)
-    for t in range(len(dims) - 1):
-        block.layers.append(LinearBN(dims[t], dims[t + 1], rng))
-    return block
+    return [LinearBN(d_in, d_out, rng) for d_in, d_out in zip(dims[:-1], dims[1:])]
 
 
 def concat_input(p: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -78,31 +63,20 @@ def concat_input(p: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.concatenate([p, f], axis=-1)
 
 
-def block_forward(z, block: ApmBlock, mode: str = "train",
+def block_forward(z, block: list[LinearBN], mode: str = "train",
                   update_running: bool = True) -> ag.Tensor:
     """Run the block on a (n, 3+D) batch; output is a (n, 1) tensor in (0, 1)."""
     x = z if isinstance(z, ag.Tensor) else ag.Tensor(np.asarray(z, dtype=np.float64))
+    d_in = block[0].w.data.shape[1]
     if x.data.ndim != 2 or x.data.shape[0] < 1:
         raise ValueError("batch must be a non-empty (n, 3+D) array")
-    if x.data.shape[1] != block.dims[0]:
-        raise ValueError(f"input dim {x.data.shape[1]} != block dim {block.dims[0]}")
-    for layer in block.layers:
+    if x.data.shape[1] != d_in:
+        raise ValueError(f"input dim {x.data.shape[1]} != block dim {d_in}")
+    for layer in block:
         x = layer(x, mode, update_running, act="sigmoid")
     return x
 
 
 def loss_reg(pred: ag.Tensor, target: np.ndarray) -> ag.Tensor:
-    """Mean absolute error between predicted and geometric ambiguity, as a graph node."""
-    tgt = np.asarray(target, dtype=np.float64).reshape(-1)
-    flat = pred if pred.data.ndim == 1 else _squeeze_col(pred)
-    if flat.data.shape != tgt.shape:
-        raise ValueError("prediction and target lengths differ")
-    return ag.mae(flat, tgt)
-
-
-def _squeeze_col(x: ag.Tensor) -> ag.Tensor:
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(g[:, None].copy())
-
-    return ag.Tensor(x.data[:, 0], parents=(x,), backward=bwd)
+    """Mean absolute error between the (n, 1) prediction and the geometric ambiguity."""
+    return ag.mae(pred, np.asarray(target, dtype=np.float64).reshape(-1, 1))

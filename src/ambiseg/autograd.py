@@ -2,8 +2,9 @@
 
 Closed primitive set, each covered by ``ambiseg gradcheck``: add, scale, affine,
 sigmoid, relu, concat_cols, gather_rows, weighted_rows, neighborhood_max,
-batch_norm, cross_entropy, contrast_loss and mae. No operator overloading and
-no general broadcasting.
+batch_norm, cross_entropy, contrast_loss and mae. Every graph node in the
+library comes from one of them. No operator overloading and no general
+broadcasting.
 
 Ownership rule: a backward closure hands ``_accum`` an array it owns, never
 ``g`` itself or a view of it. The first ``_accum`` on a node keeps that array
@@ -101,26 +102,22 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for a (n, d_in) batch or a single (d_in,) vector."""
-    single = x.data.ndim == 1
-    xd = x.data[None, :] if single else x.data
+    """x @ w.T + b for a (n, d_in) batch."""
+    xd = x.data
     if xd.ndim != 2 or w.data.ndim != 2 or xd.shape[1] != w.data.shape[1]:
-        raise ValueError(f"affine shape mismatch x{x.data.shape} w{w.data.shape}")
+        raise ValueError(f"affine shape mismatch x{xd.shape} w{w.data.shape}")
     if b.data.shape != (w.data.shape[0],):
         raise ValueError(f"affine bias shape {b.data.shape} != ({w.data.shape[0]},)")
-    out = xd @ w.data.T + b.data
 
     def bwd(g):
-        g2 = g[None, :] if single else g
         if x.requires_grad:
-            gx = g2 @ w.data
-            x._accum(gx[0] if single else gx)
+            x._accum(g @ w.data)
         if w.requires_grad:
-            w._accum(g2.T @ xd)
+            w._accum(g.T @ xd)
         if b.requires_grad:
-            b._accum(g2.sum(axis=0))
+            b._accum(g.sum(axis=0))
 
-    return Tensor(out[0] if single else out, parents=(x, w, b), backward=bwd)
+    return Tensor(xd @ w.data.T + b.data, parents=(x, w, b), backward=bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -202,6 +199,11 @@ def neighborhood_max(x: Tensor, groups: int, k: int) -> Tensor:
     return Tensor(out, parents=(x,), backward=bwd)
 
 
+# Batch-norm variance offset and running-statistics momentum.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9
+
+
 @dataclass
 class BatchNormState:
     """Running statistics of one batch-norm layer."""
@@ -215,8 +217,7 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               mode: str = "train", eps: float = 1e-5, momentum: float = 0.9,
-               update_running: bool = True) -> Tensor:
+               mode: str = "train", update_running: bool = True) -> Tensor:
     """Batch normalization over axis 0 with learnable scale/shift.
 
     Train mode uses (clamped) batch statistics and blends them into the running
@@ -232,13 +233,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         out = np.multiply(xhat, xhat)
         var = out.sum(axis=0) / xd.shape[0]
         if update_running:
-            state.running_mean = momentum * state.running_mean + (1 - momentum) * mean
-            state.running_var = momentum * state.running_var + (1 - momentum) * var
+            state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
+            state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
     else:
         var = state.running_var
         xhat = xd - state.running_mean
         out = np.empty_like(xd)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data

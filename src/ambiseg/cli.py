@@ -29,6 +29,14 @@ def _load_config(args) -> Config:
     return cfg
 
 
+def _read_input(args, num_classes: int | None = None):
+    """The --in cloud; fewer than 2 points is a usage error."""
+    cloud = aio.read_cloud(getattr(args, "in"), num_classes=num_classes)
+    if cloud.n < 2:
+        raise ValueError(f"{getattr(args, 'in')}: need at least 2 points, got {cloud.n}")
+    return cloud
+
+
 def cmd_synth(args) -> int:
     spec = SceneSpec(kind=args.kind, points_per_class=args.points_per_class,
                      noise_sigma=args.noise_sigma, seed=args.seed)
@@ -40,7 +48,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ambiguity(args) -> int:
     cfg = _load_config(args)
-    cloud = aio.read_cloud(getattr(args, "in"))
+    cloud = _read_input(args)
     amb = ambiguity_map(cloud, AefConfig(k=min(cfg.k, cloud.n), beta=cfg.beta))
     margins = margin_map(amb.values, cfg.mu, cfg.nu)
     aio.write_ambiguity_csv(args.out, cloud, amb.values, margins)
@@ -52,7 +60,7 @@ def cmd_ambiguity(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    cloud = aio.read_cloud(getattr(args, "in"))
+    cloud = _read_input(args)
     model = SegModel(cfg, feat_dim0=3 if cloud.features is None else cloud.features.shape[1],
                      num_classes=cloud.num_classes)
     history = train(model, [cloud])
@@ -73,7 +81,7 @@ def _load_model(path: str) -> SegModel:
 
 def cmd_predict(args) -> int:
     model = _load_model(args.checkpoint)
-    cloud = aio.read_cloud(getattr(args, "in"), num_classes=model.num_classes)
+    cloud = _read_input(args, model.num_classes)
     labels, amb = predict(model, cloud)
     lines = ["index,label,ambiguity"]
     for i in range(cloud.n):
@@ -85,7 +93,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model(args.checkpoint)
-    cloud = aio.read_cloud(getattr(args, "in"), num_classes=model.num_classes)
+    cloud = _read_input(args, model.num_classes)
     pred_labels, _ = predict(model, cloud)
     cm = confusion(pred_labels, cloud.labels, cloud.num_classes)
     oa, macc, miou = scores(cm)

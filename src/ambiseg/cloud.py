@@ -212,25 +212,11 @@ def rigid_transform(cloud: PointCloud, rotation: np.ndarray, translation: np.nda
 def _planar_lattice(ppc: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Two classes on opposite sides of the x=0 plane, mirrored cubic lattice."""
     side = max(2, math.ceil(ppc ** (1.0 / 3.0)))
-    pts = []
-    count = 0
-    i = 0
-    while count < ppc:
-        for iy in range(side):
-            for iz in range(side):
-                if count >= ppc:
-                    break
-                pts.append(((i + 0.5) * step, iy * step, iz * step))
-                count += 1
-            if count >= ppc:
-                break
-        i += 1
-    half = np.asarray(pts, dtype=np.float64)
-    neg = half.copy()
-    neg[:, 0] = -neg[:, 0]
-    positions = np.vstack([neg, half])
-    labels = np.concatenate([np.zeros(ppc, dtype=np.int64), np.ones(ppc, dtype=np.int64)])
-    return positions, labels
+    i, rest = np.divmod(np.arange(ppc), side * side)   # x slab, then y-major within it
+    iy, iz = np.divmod(rest, side)
+    half = np.column_stack([(i + 0.5) * step, iy * step, iz * step])
+    positions = np.vstack([half * [-1.0, 1.0, 1.0], half])
+    return positions, np.repeat(np.arange(2, dtype=np.int64), ppc)
 
 
 def _two_rooms(ppc: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

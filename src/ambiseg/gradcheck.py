@@ -42,8 +42,7 @@ def check_loss_reg(seed: int, step: float = 1e-5) -> float:
     # avoid the |.| kink: nudge targets away from near-zero residuals
     resid = np.abs(block_forward(z, block, mode="train", update_running=False).data[:, 0] - target)
     target = np.where(resid < 1e-6, target + 1e-3, target)
-    return ag.finite_diff_check(f, [p for layer in block.layers for p in layer.parameters()],
-                                step)
+    return ag.finite_diff_check(f, [p for layer in block for p in layer.parameters()], step)
 
 
 def check_loss_ce(seed: int, step: float = 1e-5) -> float:

@@ -33,7 +33,7 @@ def write_cloud(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
-    rows = []
+    rows, labels = [], []
     width = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -46,11 +46,15 @@ def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
                 raise ValueError(f"line {lineno}: need at least x y z label")
         elif len(tokens) != width:
             raise ValueError(f"line {lineno}: inconsistent token count")
-        rows.append(tokens)
+        try:
+            rows.append([float(t) for t in tokens[:-1]])
+            labels.append(int(tokens[-1]))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: no points")
-    data = np.array([[float(t) for t in r[:-1]] for r in rows])
-    labels = np.array([int(r[-1]) for r in rows], dtype=np.int64)
+    data = np.array(rows)
+    labels = np.array(labels, dtype=np.int64)
     positions = data[:, :3]
     features = data[:, 3:] if data.shape[1] > 3 else None
     if num_classes is None:

@@ -77,29 +77,22 @@ class SegModel:
         self.head_b = ag.Tensor(np.zeros(num_classes), requires_grad=True)
         self.apm = [init_apm_block(cfg.dims[s - 1], rng) for s in range(1, cfg.stages + 1)]
 
+    def units(self) -> dict[str, LinearBN]:
+        """Checkpoint prefix -> unit, in the order the units draw from the RNG."""
+        table = {f"enc{s}": u for s, u in enumerate(self.enc, start=1)}
+        table |= {f"dec{s}": u for s, u in enumerate(self.dec, start=1)}
+        table["head_hidden"] = self.head_hidden
+        return table | {f"apm{s}.l{t}": u for s, block in enumerate(self.apm, start=1)
+                        for t, u in enumerate(block)}
+
     def parameters(self) -> list[ag.Tensor]:
-        out = []
-        for blk in self.enc + self.dec + [self.head_hidden]:
-            out.extend(blk.parameters())
-        out.extend([self.head_w, self.head_b])
-        for b in self.apm:
-            for layer in b.layers:
-                out.extend(layer.parameters())
-        return out
+        units = self.units().values()
+        return [p for u in units for p in u.parameters()] + [self.head_w, self.head_b]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for s, blk in enumerate(self.enc, start=1):
-            out.update(blk.named_arrays(f"enc{s}"))
-        for s, blk in enumerate(self.dec, start=1):
-            out.update(blk.named_arrays(f"dec{s}"))
-        out.update(self.head_hidden.named_arrays("head_hidden"))
-        out["head.w"] = self.head_w.data
-        out["head.b"] = self.head_b.data
-        for s, b in enumerate(self.apm, start=1):
-            for t, layer in enumerate(b.layers):
-                out.update(layer.named_arrays(f"apm{s}.l{t}"))
-        return out
+        out = {f"{prefix}.{field}": arr for prefix, u in self.units().items()
+               for field, arr in u.arrays().items()}
+        return out | {"head.w": self.head_w.data, "head.b": self.head_b.data}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         own = self.named_arrays()

@@ -2,7 +2,8 @@
 
 The library computes ambiguity, the contrastive loss, the refinement masks and
 the ambiguity bins vectorised over whole stages; the scalar formulas here
-restate them one point at a time so tests can compare the two. ``tsum`` and ``mul`` give gradient
+restate them one point at a time so tests can compare the two. ``planar_lattice``
+is the same for the planar-boundary scene's lattice. ``tsum`` and ``mul`` give gradient
 tests a scalar objective without adding primitives to ``ambiseg.autograd``.
 """
 import math
@@ -115,3 +116,26 @@ def bin_of(a: float) -> str:
     if abs(a - 1.0) <= BIN_TOL:
         return "one"
     return "low" if a < 0.5 else "high"
+
+
+def planar_lattice(ppc, step):
+    """The planar-boundary lattice one point at a time: x slabs, each filled y-major."""
+    side = max(2, math.ceil(ppc ** (1.0 / 3.0)))
+    pts = []
+    count = 0
+    i = 0
+    while count < ppc:
+        for iy in range(side):
+            for iz in range(side):
+                if count >= ppc:
+                    break
+                pts.append(((i + 0.5) * step, iy * step, iz * step))
+                count += 1
+            if count >= ppc:
+                break
+        i += 1
+    half = np.asarray(pts, dtype=np.float64)
+    neg = half.copy()
+    neg[:, 0] = -neg[:, 0]
+    labels = np.concatenate([np.zeros(ppc, dtype=np.int64), np.ones(ppc, dtype=np.int64)])
+    return np.vstack([neg, half]), labels

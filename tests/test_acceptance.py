@@ -214,7 +214,7 @@ def test_criterion_09_apm_regression(overfit_run):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         block = init_apm_block(feats.shape[1], rng)
-        params = [p for layer in block.layers for p in layer.parameters()]
+        params = [p for layer in block for p in layer.parameters()]
         velocity = [np.zeros_like(p.data) for p in params]
         for _ in range(500):
             ag.zero_grads(params)

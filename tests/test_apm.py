@@ -7,16 +7,15 @@ from ambiseg.apm import (APM_CHANNELS, LinearBN, block_forward, concat_input,
 
 
 def block_parameters(block):
-    return [p for layer in block.layers for p in layer.parameters()]
+    return [p for layer in block for p in layer.parameters()]
 
 
 def test_block_architecture():
     rng = np.random.default_rng(0)
     block = init_apm_block(feat_dim=16, rng=rng)
-    assert block.dims == (19,) + APM_CHANNELS
-    assert len(block.layers) == len(APM_CHANNELS)
+    assert len(block) == len(APM_CHANNELS)
     widths = [19] + list(APM_CHANNELS)
-    for layer, d_in, d_out in zip(block.layers, widths[:-1], widths[1:]):
+    for layer, d_in, d_out in zip(block, widths[:-1], widths[1:]):
         assert isinstance(layer, LinearBN)
         assert layer.w.data.shape == (d_out, d_in)
         assert layer.b.data.shape == (d_out,)
@@ -64,10 +63,10 @@ def test_predict_ambiguity_is_detached_copy():
     z = rng.normal(size=(10, 7))
     block_forward(z, block, mode="train", update_running=True)
     before = [(layer.bn.running_mean.copy(), layer.bn.running_var.copy())
-              for layer in block.layers]
+              for layer in block]
     pred = block_forward(z, block, mode="infer", update_running=False).data[:, 0]
     assert isinstance(pred, np.ndarray) and pred.shape == (10,)
-    for layer, (mean, var) in zip(block.layers, before):
+    for layer, (mean, var) in zip(block, before):
         np.testing.assert_array_equal(layer.bn.running_mean, mean)
         np.testing.assert_array_equal(layer.bn.running_var, var)
 

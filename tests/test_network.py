@@ -199,6 +199,33 @@ def test_regressor_checkpoint_names_keep_their_layout():
     assert {name for name in names if name.startswith("apm")} == expected
 
 
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_units_table_is_the_one_checkpoint_layout(stages):
+    cfg = Config(k=8, k_tilde=4, stages=stages, dims=(4, 6, 8)[:stages], seed=0)
+    model = SegModel(cfg, feat_dim0=3, num_classes=2)
+    assert list(model.units()) == ([f"enc{s}" for s in range(1, stages + 1)]
+                                   + [f"dec{s}" for s in range(1, stages)] + ["head_hidden"]
+                                   + [f"apm{s}.l{t}" for s in range(1, stages + 1)
+                                      for t in range(6)])
+    arrays = model.named_arrays()
+    params = model.parameters()
+    owners = [[name for name, arr in arrays.items() if arr is p.data] for p in params]
+    assert all(len(names) == 1 for names in owners)
+    rest = set(arrays) - {names[0] for names in owners}
+    assert 2 * len(rest) == len(params) - 2   # two running stats per four-parameter unit
+    assert all(name.endswith((".running_mean", ".running_var")) for name in rest)
+    # every array, running stats included, loads into a differently seeded model
+    rng = np.random.default_rng(stages)
+    saved = {name: rng.normal(size=arr.shape) for name, arr in arrays.items()}
+    model.load_arrays(saved)
+    clone = SegModel(dataclasses.replace(cfg, seed=9), feat_dim0=3, num_classes=2)
+    clone.load_arrays(model.named_arrays())
+    got = clone.named_arrays()
+    assert set(got) == set(saved)
+    for name, arr in saved.items():
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
 def test_load_arrays_rejects_mismatches():
     model = SegModel(SMALL, feat_dim0=3, num_classes=2)
     arrays = model.named_arrays()
