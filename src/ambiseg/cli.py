@@ -74,6 +74,9 @@ def cmd_train(args) -> int:
 
 def _load_model(path: str) -> SegModel:
     cfg, arrays, extra = aio.load_checkpoint(path)
+    for key in ("feat_dim0", "num_classes"):
+        if key not in extra:
+            raise ValueError(f"{path}: checkpoint has no {key!r} entry")
     model = SegModel(cfg, feat_dim0=int(extra["feat_dim0"]), num_classes=int(extra["num_classes"]))
     model.load_arrays(arrays)
     return model
@@ -83,10 +86,7 @@ def cmd_predict(args) -> int:
     model = _load_model(args.checkpoint)
     cloud = _read_input(args, model.num_classes)
     labels, amb = predict(model, cloud)
-    lines = ["index,label,ambiguity"]
-    for i in range(cloud.n):
-        lines.append(f"{i},{int(labels[i])},{aio.fmt(amb[i])}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    aio.write_table(args.out, ["index,label,ambiguity"], [np.arange(cloud.n), labels, amb], ",")
     print(f"wrote predictions for {cloud.n} points to {args.out}")
     return EXIT_OK
 
@@ -99,11 +99,8 @@ def cmd_eval(args) -> int:
     oa, macc, miou = scores(cm)
     amb = ambiguity_map(cloud, AefConfig(k=min(model.cfg.k, cloud.n), beta=model.cfg.beta))
     table = breakdown(pred_labels, cloud.labels, amb.values, cloud.num_classes)
-    lines = ["bin,count,miou,macc",
-             f"all,{cloud.n},{aio.fmt(miou)},{aio.fmt(macc)}"]
-    for name, (count, b_miou, b_macc) in table.items():
-        lines.append(f"{name},{count},{aio.fmt(b_miou)},{aio.fmt(b_macc)}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    rows = [("all", cloud.n, miou, macc)] + [(name, *row) for name, row in table.items()]
+    aio.write_table(args.out, ["bin,count,miou,macc"], list(zip(*rows)), ",")
     print(f"OA {aio.fmt(oa)}  mACC {aio.fmt(macc)}  mIoU {aio.fmt(miou)}")
     print(f"breakdown written to {args.out}")
     return EXIT_OK

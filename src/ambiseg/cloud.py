@@ -168,20 +168,18 @@ def knn_all(positions: np.ndarray, k: int) -> np.ndarray:
     return knn_query(positions, positions, k)
 
 
-def fps_indices(positions: np.ndarray, m: int, start: int = 0) -> np.ndarray:
-    """Greedy farthest point sampling over an (n, 3) array; ties by ascending index."""
+def fps_indices(positions: np.ndarray, m: int) -> np.ndarray:
+    """Greedy farthest point sampling over an (n, 3) array from point 0; lowest index on ties."""
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must satisfy 1 <= m <= n={n}")
-    if not 0 <= start < n:
-        raise ValueError(f"start {start} out of range for {n} points")
     chosen = np.empty(m, dtype=np.int64)
-    chosen[0] = start
+    chosen[0] = 0
     # Contiguous coordinate columns and preallocated buffers: each step forms
     # (dx^2 + dy^2) + dz^2 in place, the same float sequence as sq_dists.
     cols = [np.ascontiguousarray(positions[:, j]) for j in range(3)]
-    mind2 = sq_dists(positions, positions[start])
+    mind2 = sq_dists(positions, positions[0])
     d2 = np.empty(n)
     t = np.empty(n)
     for i in range(1, m):

@@ -10,25 +10,25 @@ from ambiseg.config import Config
 from ambiseg.network import SegModel, build_geometry, forward, loss_joint
 
 
-def random_batch(rng: np.random.Generator, n: int = 12, dim: int = 5, k: int = 4,
-                 num_classes: int = 3):
+def random_batch(rng: np.random.Generator):
     """Random features and margins, (n, k) neighbour rows (anchor first) and their intra mask."""
-    feats = rng.normal(size=(n, dim))
-    labels = rng.integers(0, num_classes, size=n)
+    n, k = 12, 4
+    feats = rng.normal(size=(n, 5))
+    labels = rng.integers(0, 3, size=n)
     margins = rng.uniform(-0.5, 0.5, size=n)
     nbr = np.stack([np.concatenate([[i], rng.choice(np.delete(np.arange(n), i), size=k - 1,
                                                     replace=False)]) for i in range(n)])
     return feats, nbr, labels[nbr] == labels[:, None], margins
 
 
-def check_loss_am(seed: int, tau: float = 0.3, step: float = 1e-5) -> float:
+def check_loss_am(seed: int) -> float:
     rng = np.random.default_rng(seed)
     feats, nbr, intra, margins = random_batch(rng)
     f = ag.Tensor(feats, requires_grad=True)
-    return ag.finite_diff_check(lambda: ag.contrast_loss(f, nbr, intra, margins, tau), [f], step)
+    return ag.finite_diff_check(lambda: ag.contrast_loss(f, nbr, intra, margins, 0.3), [f])
 
 
-def check_loss_reg(seed: int, step: float = 1e-5) -> float:
+def check_loss_reg(seed: int) -> float:
     rng = np.random.default_rng(seed)
     n, d = 10, 4
     block = init_apm_block(d, rng)
@@ -42,18 +42,18 @@ def check_loss_reg(seed: int, step: float = 1e-5) -> float:
     # avoid the |.| kink: nudge targets away from near-zero residuals
     resid = np.abs(block_forward(z, block, mode="train", update_running=False).data[:, 0] - target)
     target = np.where(resid < 1e-6, target + 1e-3, target)
-    return ag.finite_diff_check(f, [p for layer in block for p in layer.parameters()], step)
+    return ag.finite_diff_check(f, [p for layer in block for p in layer.parameters()])
 
 
-def check_loss_ce(seed: int, step: float = 1e-5) -> float:
+def check_loss_ce(seed: int) -> float:
     rng = np.random.default_rng(seed)
     n, c = 16, 4
     scores = ag.Tensor(rng.normal(size=(n, c)), requires_grad=True)
     labels = rng.integers(0, c, size=n)
-    return ag.finite_diff_check(lambda: ag.cross_entropy(scores, labels), [scores], step)
+    return ag.finite_diff_check(lambda: ag.cross_entropy(scores, labels), [scores])
 
 
-def check_scatter(seed: int, step: float = 1e-5) -> float:
+def check_scatter(seed: int) -> float:
     """Row gathers, weighted rows and a refinement-style blend chained into cross entropy.
 
     Repeated indices make the backward scatters add several rows into one. The
@@ -81,16 +81,16 @@ def check_scatter(seed: int, step: float = 1e-5) -> float:
         b = ag.weighted_rows(r, blend_idx, blend_coef)
         return ag.cross_entropy(b, labels)
 
-    return ag.finite_diff_check(f, [x], step)
+    return ag.finite_diff_check(f, [x])
 
 
-def _tiny_cloud(rng: np.random.Generator, n: int = 48, num_classes: int = 2) -> PointCloud:
-    positions = rng.normal(size=(n, 3))
-    labels = (positions[:, 0] > 0).astype(np.int64) % num_classes
-    return PointCloud(positions, labels, num_classes)
+def _tiny_cloud(rng: np.random.Generator) -> PointCloud:
+    """48 random points in two classes split at x = 0."""
+    positions = rng.normal(size=(48, 3))
+    return PointCloud(positions, (positions[:, 0] > 0).astype(np.int64), 2)
 
 
-def check_joint(seed: int, step: float = 1e-5) -> float:
+def check_joint(seed: int) -> float:
     """Total objective of a reduced model against central differences."""
     rng = np.random.default_rng(seed)
     # apm_detach=False: the detached variant stops gradients by design, which a
@@ -108,7 +108,7 @@ def check_joint(seed: int, step: float = 1e-5) -> float:
         total, _ = loss_joint(model, result, cloud.labels)
         return total
 
-    return ag.finite_diff_check(f, model.parameters(), step)
+    return ag.finite_diff_check(f, model.parameters())
 
 
 def run_gradcheck(seed: int = 0, verbose: bool = False) -> float:

@@ -13,23 +13,31 @@ from ambiseg.config import Config, config_to_text, parse_config
 
 CHECKPOINT_MAGIC = b"AMC3"
 CHECKPOINT_VERSION = 1
+FLOAT_FORMAT = "%.9g"  # the float rule of every text output
 
 
 def fmt(x: float) -> str:
     """Locale-independent %.9g float formatting."""
-    return format(float(x), ".9g")
+    return FLOAT_FORMAT % float(x)
+
+
+def write_table(path: str | Path, header_lines: list[str], columns: list, sep: str) -> None:
+    """Header lines, then one ``sep``-joined row per index of equal-length columns.
+
+    Float columns print with ``fmt``'s rule and every other column with ``str``.
+    """
+    columns = [np.asarray(c) for c in columns]
+    template = sep.join(FLOAT_FORMAT if c.dtype.kind == "f" else "%s" for c in columns)
+    rows = [template % row for row in zip(*(c.tolist() for c in columns), strict=True)]
+    Path(path).write_text("\n".join([*header_lines, *rows]) + "\n")
 
 
 def write_cloud(path: str | Path, cloud: PointCloud) -> None:
     """One point per line: x y z [feat...] label."""
-    lines = ["# x y z" + (" feat..." if cloud.features is not None else "") + " label"]
-    for i in range(cloud.n):
-        cols = [fmt(v) for v in cloud.positions[i]]
-        if cloud.features is not None:
-            cols += [fmt(v) for v in cloud.features[i]]
-        cols.append(str(int(cloud.labels[i])))
-        lines.append(" ".join(cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    has_feats = cloud.features is not None
+    header = "# x y z" + (" feat..." if has_feats else "") + " label"
+    feats = list(cloud.features.T) if has_feats else []
+    write_table(path, [header], [*cloud.positions.T, *feats, cloud.labels], " ")
 
 
 def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
@@ -64,25 +72,17 @@ def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
 
 def write_ambiguity_csv(path: str | Path, cloud: PointCloud, ambiguities: np.ndarray,
                         margins: np.ndarray) -> None:
-    lines = ["index,x,y,z,ambiguity,margin"]
-    for i in range(cloud.n):
-        x, y, z = cloud.positions[i]
-        lines.append(f"{i},{fmt(x)},{fmt(y)},{fmt(z)},{fmt(ambiguities[i])},{fmt(margins[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def ambiguity_color(a: float) -> tuple[int, int, int]:
-    """Exact colormap: c = round(255 a); (red, green, blue) = (c, 0, 255 - c)."""
-    c = int(round(255.0 * a))
-    return c, 0, 255 - c
+    write_table(path, ["index,x,y,z,ambiguity,margin"],
+                [np.arange(cloud.n), *cloud.positions.T, ambiguities, margins], ",")
 
 
 def write_ply(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray) -> None:
-    n = positions.shape[0]
+    """ASCII PLY coloured by ambiguity: c = round(255 a), half to even; (red, green,
+    blue) = (c, 0, 255 - c)."""
     header = [
         "ply",
         "format ascii 1.0",
-        f"element vertex {n}",
+        f"element vertex {positions.shape[0]}",
         "property float x",
         "property float y",
         "property float z",
@@ -91,12 +91,8 @@ def write_ply(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray) 
         "property uchar blue",
         "end_header",
     ]
-    lines = header
-    for i in range(n):
-        r, g, b = ambiguity_color(float(ambiguities[i]))
-        x, y, z = positions[i]
-        lines.append(f"{fmt(x)} {fmt(y)} {fmt(z)} {r} {g} {b}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    c = np.rint(255.0 * np.asarray(ambiguities, dtype=np.float64)).astype(np.int64)
+    write_table(path, header, [*positions.T, c, np.zeros_like(c), 255 - c], " ")
 
 
 def read_ply(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

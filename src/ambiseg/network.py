@@ -124,7 +124,7 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[St
     parent_lab = cloud.labels if with_labels else None
     for s in range(1, cfg.stages + 1):
         n_s = sizes[s - 1]
-        idx = fps_indices(parent_pos, n_s, start=0)
+        idx = fps_indices(parent_pos, n_s)
         pos = parent_pos[idx]
         lab = mine_labels(parent_lab, idx) if parent_lab is not None else None
         enc_nbr = knn_query(parent_pos, pos, min(cfg.k, parent_pos.shape[0]))
@@ -298,11 +298,9 @@ def train(model: SegModel, clouds: list[PointCloud], epochs: int | None = None,
     return history
 
 
-def predict(model: SegModel, cloud: PointCloud,
-            geometry: list[StageGeometry] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: SegModel, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     """Argmax class labels plus per-point stage-1 predicted ambiguity."""
-    if geometry is None:
-        geometry = build_geometry(cloud, model.cfg, with_labels=False)
+    geometry = build_geometry(cloud, model.cfg, with_labels=False)
     result = forward(model, cloud, mode="infer", geometry=geometry)
     labels = np.argmax(result.scores.data, axis=1)  # argmax tie -> lowest class
     amb = result.pred_amb[1][geometry[0].up_idx[:, 0]]  # nearest stage-1 point

@@ -3,8 +3,9 @@
 The library computes ambiguity, the contrastive loss, the refinement masks and
 the ambiguity bins vectorised over whole stages; the scalar formulas here
 restate them one point at a time so tests can compare the two. ``planar_lattice``
-is the same for the planar-boundary scene's lattice. ``tsum`` and ``mul`` give gradient
-tests a scalar objective without adding primitives to ``ambiseg.autograd``.
+is the same for the planar-boundary scene's lattice, and the ``*_text`` writers
+and ``ambiguity_color`` for the per-point text outputs. ``tsum`` and ``mul`` give
+gradient tests a scalar objective without adding primitives to ``ambiseg.autograd``.
 """
 import math
 
@@ -139,3 +140,68 @@ def planar_lattice(ppc, step):
     neg[:, 0] = -neg[:, 0]
     labels = np.concatenate([np.zeros(ppc, dtype=np.int64), np.ones(ppc, dtype=np.int64)])
     return np.vstack([neg, half]), labels
+
+
+def ambiguity_color(a: float) -> tuple[int, int, int]:
+    """Exact colormap: c = round(255 a); (red, green, blue) = (c, 0, 255 - c)."""
+    c = int(round(255.0 * a))
+    return c, 0, 255 - c
+
+
+def fmt(x) -> str:
+    """The per-value float rule of the text outputs: nine significant digits."""
+    return format(float(x), ".9g")
+
+
+def _text(lines):
+    return "\n".join(lines) + "\n"
+
+
+def cloud_text(cloud):
+    """``io.write_cloud``'s file, one point and one ``fmt`` call at a time."""
+    lines = ["# x y z" + (" feat..." if cloud.features is not None else "") + " label"]
+    for i in range(cloud.n):
+        cols = [fmt(v) for v in cloud.positions[i]]
+        if cloud.features is not None:
+            cols += [fmt(v) for v in cloud.features[i]]
+        cols.append(str(int(cloud.labels[i])))
+        lines.append(" ".join(cols))
+    return _text(lines)
+
+
+def ambiguity_csv_text(cloud, ambiguities, margins):
+    """``io.write_ambiguity_csv``'s file, one point at a time."""
+    lines = ["index,x,y,z,ambiguity,margin"]
+    for i in range(cloud.n):
+        x, y, z = cloud.positions[i]
+        lines.append(f"{i},{fmt(x)},{fmt(y)},{fmt(z)},{fmt(ambiguities[i])},{fmt(margins[i])}")
+    return _text(lines)
+
+
+def ply_text(positions, ambiguities):
+    """``io.write_ply``'s file, one vertex and one ``ambiguity_color`` call at a time."""
+    n = positions.shape[0]
+    lines = ["ply", "format ascii 1.0", f"element vertex {n}",
+             "property float x", "property float y", "property float z",
+             "property uchar red", "property uchar green", "property uchar blue", "end_header"]
+    for i in range(n):
+        r, g, b = ambiguity_color(float(ambiguities[i]))
+        x, y, z = positions[i]
+        lines.append(f"{fmt(x)} {fmt(y)} {fmt(z)} {r} {g} {b}")
+    return _text(lines)
+
+
+def predict_csv_text(labels, ambiguities):
+    """``ambiseg predict``'s CSV, one point at a time."""
+    lines = ["index,label,ambiguity"]
+    for i in range(len(labels)):
+        lines.append(f"{i},{int(labels[i])},{fmt(ambiguities[i])}")
+    return _text(lines)
+
+
+def eval_csv_text(n, miou, macc, table):
+    """``ambiseg eval``'s CSV: the "all" row, then one row per ``metrics.breakdown`` bin."""
+    lines = ["bin,count,miou,macc", f"all,{n},{fmt(miou)},{fmt(macc)}"]
+    for name, (count, b_miou, b_macc) in table.items():
+        lines.append(f"{name},{count},{fmt(b_miou)},{fmt(b_macc)}")
+    return _text(lines)

@@ -17,7 +17,7 @@ from ambiseg.gradcheck import run_gradcheck
 from ambiseg.margin import loss_am_indexed, margin_map
 from ambiseg.network import SegModel, build_geometry, forward, train
 from ambiseg.refine import build_masks, refine
-from oracles import contrast_batch
+from oracles import ambiguity_color, contrast_batch
 
 
 def report(num, name, ok, detail=""):
@@ -268,7 +268,7 @@ def test_criterion_11_cli_round_trip(tmp_path):
     pos, colors = aio.read_ply(ply_out)
     pos_ok = bool(np.max(np.abs(pos - cloud.positions)) <= 1e-6)
     amb = ambiguity_map(cloud, AefConfig()).values
-    color_ok = all(tuple(colors[i]) == aio.ambiguity_color(amb[i])
+    color_ok = all(tuple(colors[i]) == ambiguity_color(amb[i])
                    for i in range(cloud.n))
 
     ckpt_a = tmp_path / "model_a.ckpt"

@@ -5,6 +5,10 @@ import pytest
 
 from ambiseg import cli
 from ambiseg import io as aio
+from ambiseg.config import Config
+from oracles import eval_csv_text, predict_csv_text
+
+DATA = Path(__file__).parent / "data"
 
 TINY = ["--set", "k=8", "--set", "k_tilde=4", "--set", "dims=6,8",
         "--set", "epochs=4"]
@@ -129,6 +133,14 @@ def test_predict_with_corrupt_checkpoint(tmp_path, capsys):
         assert err.count("\n") == 1, err
         if data.startswith(content) and len(content) >= 4:
             assert "truncated checkpoint" in err, err
+    # a well-formed checkpoint without the model sizes names the first missing one
+    for extra, key in (({}, "feat_dim0"), ({"feat_dim0": 3}, "num_classes")):
+        aio.save_checkpoint(bad, Config(), {}, extra=extra)
+        capsys.readouterr()
+        assert run(["predict", "--in", str(cloud_path), "--checkpoint", str(bad),
+                    "--out", str(tmp_path / "p.csv")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err, err
 
 
 def test_gradcheck_exit_codes(monkeypatch):
@@ -159,6 +171,26 @@ def test_predict_csv_matches_in_process_model(tmp_path):
     got_amb = np.array([float(r.split(",")[2]) for r in rows])
     np.testing.assert_array_equal(got_labels, labels)
     np.testing.assert_allclose(got_amb, amb, rtol=1e-8)
+
+
+def test_predict_and_eval_csvs_match_the_per_row_oracle(tmp_path):
+    from ambiseg.ambiguity import AefConfig, ambiguity_map
+    from ambiseg.metrics import breakdown, confusion, scores
+    from ambiseg.network import predict
+    pred_path, eval_path = tmp_path / "pred.csv", tmp_path / "eval.csv"
+    io_args = ["--in", str(DATA / "frozen_cloud.txt"), "--checkpoint",
+               str(DATA / "frozen_model.ckpt")]
+    assert run(["predict", *io_args, "--out", str(pred_path)]) == 0
+    assert run(["eval", *io_args, "--out", str(eval_path)]) == 0
+    model = cli._load_model(str(DATA / "frozen_model.ckpt"))
+    cloud = aio.read_cloud(DATA / "frozen_cloud.txt", num_classes=model.num_classes)
+    labels, amb = predict(model, cloud)
+    assert pred_path.read_bytes() == predict_csv_text(labels, amb).encode()
+    _, macc, miou = scores(confusion(labels, cloud.labels, cloud.num_classes))
+    a = ambiguity_map(cloud, AefConfig(k=model.cfg.k, beta=model.cfg.beta)).values
+    table = breakdown(labels, cloud.labels, a, cloud.num_classes)
+    assert eval_path.read_bytes() == eval_csv_text(cloud.n, miou, macc, table).encode()
+    assert "semi,0,nan,nan" in eval_path.read_text()  # an empty bin writes nan
 
 
 def _one_error_line(capsys) -> str:

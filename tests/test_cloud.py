@@ -207,9 +207,9 @@ def test_build_geometry_upsampling_follows_the_tie_rule_on_a_lattice():
         parent = geo.positions
 
 
-def fps_reference(positions, m, start):
-    chosen = [start]
-    d2 = np.sum((positions - positions[start]) ** 2, axis=1)
+def fps_reference(positions, m):
+    chosen = [0]
+    d2 = np.sum((positions - positions[0]) ** 2, axis=1)
     for _ in range(m - 1):
         best = min(range(len(d2)), key=lambda j: (-d2[j], j))
         chosen.append(best)
@@ -221,20 +221,18 @@ def test_fps_matches_reference():
     rng = np.random.default_rng(9)
     pos = rng.normal(size=(80, 3))
     for m in (1, 2, 20, 80):
-        np.testing.assert_array_equal(fps_indices(pos, m, start=3),
-                                      fps_reference(pos, m, 3))
+        np.testing.assert_array_equal(fps_indices(pos, m), fps_reference(pos, m))
     # tie-heavy lattice: equal distances must resolve to the same lowest index
     lattice = synth_scene(SceneSpec("planar-boundary", points_per_class=60)).positions
-    np.testing.assert_array_equal(fps_indices(lattice, 40, start=0),
-                                  fps_reference(lattice, 40, 0))
+    np.testing.assert_array_equal(fps_indices(lattice, 40), fps_reference(lattice, 40))
 
 
 def test_fps_tie_prefers_lowest_index():
     # square: both corners at distance sqrt(2) from the start
     pos = np.array([[0.0, 0, 0], [1, 1, 0], [1, 0, 0], [0, 1, 0]])
-    np.testing.assert_array_equal(fps_indices(pos, 2, start=0), [0, 1])
+    np.testing.assert_array_equal(fps_indices(pos, 2), [0, 1])
     # after (0, 1) the remaining two are tied again
-    np.testing.assert_array_equal(fps_indices(pos, 3, start=0), [0, 1, 2])
+    np.testing.assert_array_equal(fps_indices(pos, 3), [0, 1, 2])
 
 
 def test_fps_validation():
@@ -243,8 +241,6 @@ def test_fps_validation():
         fps_indices(pos, 0)
     with pytest.raises(ValueError):
         fps_indices(pos, 5)
-    with pytest.raises(ValueError):
-        fps_indices(pos, 2, start=4)
 
 
 def test_rigid_transform_preserves_distances():

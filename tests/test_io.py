@@ -7,6 +7,7 @@ from ambiseg import io as aio
 from ambiseg.cloud import PointCloud
 from ambiseg.config import Config
 from ambiseg.network import SegModel, predict
+from oracles import ambiguity_color, ambiguity_csv_text, cloud_text, ply_text
 
 
 def random_cloud(rng, n=25, with_features=False):
@@ -61,12 +62,16 @@ def test_ambiguity_csv(tmp_path):
     assert lines[2].split(",")[4] == "0.5"
 
 
-def test_ambiguity_color_formula():
-    assert aio.ambiguity_color(0.0) == (0, 0, 255)
-    assert aio.ambiguity_color(1.0) == (255, 0, 0)
-    for a in np.linspace(0, 1, 101):
+def test_ambiguity_color_formula(tmp_path):
+    amb = np.linspace(0, 1, 101)
+    path = tmp_path / "ramp.ply"
+    aio.write_ply(path, np.zeros((101, 3)), amb)
+    _, colors = aio.read_ply(path)
+    assert tuple(colors[0]) == (0, 0, 255)
+    assert tuple(colors[-1]) == (255, 0, 0)
+    for a, color in zip(amb, colors):
         c = int(round(255.0 * a))
-        assert aio.ambiguity_color(a) == (c, 0, 255 - c)
+        assert tuple(color) == (c, 0, 255 - c)
 
 
 def test_ply_roundtrip(tmp_path):
@@ -78,7 +83,36 @@ def test_ply_roundtrip(tmp_path):
     back_pos, colors = aio.read_ply(path)
     np.testing.assert_allclose(back_pos, pos, atol=1e-6)
     for i in range(17):
-        assert tuple(colors[i]) == aio.ambiguity_color(amb[i])
+        assert tuple(colors[i]) == ambiguity_color(amb[i])
+
+
+def spread_cloud(rng, n, with_features):
+    """Random signed values with magnitudes from 1e-8 to 1e8, plus exact zeros and -0.0."""
+    def values(*shape):
+        v = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        v.flat[:2] = 0.0, -0.0
+        return v
+    return PointCloud(values(n, 3), rng.integers(0, 11, n), 11,
+                      values(n, 2) if with_features else None)
+
+
+@pytest.mark.parametrize("with_features", [False, True])
+def test_writers_match_the_per_row_oracle_byte_for_byte(tmp_path, with_features):
+    rng = np.random.default_rng(11 + with_features)
+    cloud = spread_cloud(rng, 300, with_features)
+    path = tmp_path / "out"
+    aio.write_cloud(path, cloud)
+    assert path.read_bytes() == cloud_text(cloud).encode()
+    amb = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=cloud.n - 3)])
+    margins = 0.5 - amb
+    margins[:4] = -0.0, 0.0, -1e-300, 5e-324
+    aio.write_ambiguity_csv(path, cloud, amb, margins)
+    assert path.read_bytes() == ambiguity_csv_text(cloud, amb, margins).encode()
+    # colour rounding at the half-way points (c + 0.5) / 255
+    amb = np.concatenate([(np.arange(255) + 0.5) / 255, [0.0, 1.0], rng.uniform(size=43)])
+    assert np.sum(255.0 * amb % 1.0 == 0.5) > 100
+    aio.write_ply(path, cloud.positions, amb)
+    assert path.read_bytes() == ply_text(cloud.positions, amb).encode()
 
 
 def test_read_ply_rejects_other_files(tmp_path):
