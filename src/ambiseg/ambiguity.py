@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ambiseg.cloud import PointCloud, knn_all
+from ambiseg.cloud import PointCloud, knn_all, sq_dists
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def ambiguity_map(cloud: PointCloud, cfg: AefConfig,
         nbrs = knn_all(cloud.positions, cfg.k)
     elif nbrs.shape != (cloud.n, cfg.k):
         raise ValueError(f"neighbour matrix {nbrs.shape} != ({cloud.n}, {cfg.k})")
-    diffs = cloud.positions[nbrs] - cloud.positions[:, None, :]
-    d2 = np.sum(diffs ** 2, axis=2)
+    d2 = sq_dists(cloud.positions[nbrs], cloud.positions[:, None, :])
     same = cloud.labels[nbrs] == cloud.labels[:, None]
     n_plus = same.sum(axis=1)
     n_minus = cfg.k - n_plus

@@ -29,7 +29,7 @@ class LinearBN:
         self.b = ag.Tensor(np.zeros(d_out), requires_grad=True)
         self.gamma = ag.Tensor(np.ones(d_out), requires_grad=True)
         self.beta = ag.Tensor(np.zeros(d_out), requires_grad=True)
-        self.bn = ag.BatchNormState.create(d_out)
+        self.bn = ag.BatchNormState(running_mean=np.zeros(d_out), running_var=np.ones(d_out))
 
     def __call__(self, x: ag.Tensor, mode: str, update_running: bool, act: str = "relu") -> ag.Tensor:
         y = ag.affine(x, self.w, self.b)
@@ -50,17 +50,6 @@ class LinearBN:
 def init_apm_block(feat_dim: int, rng: np.random.Generator) -> list[LinearBN]:
     dims = (3 + feat_dim,) + APM_CHANNELS
     return [LinearBN(d_in, d_out, rng) for d_in, d_out in zip(dims[:-1], dims[1:])]
-
-
-def concat_input(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Position-first concatenation (3 + D)."""
-    p = np.asarray(p, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if p.shape[-1] != 3:
-        raise ValueError("position must be 3-dim")
-    if f.shape[-1] < 1:
-        raise ValueError("feature must have at least one dimension")
-    return np.concatenate([p, f], axis=-1)
 
 
 def block_forward(z, block: list[LinearBN], mode: str = "train",

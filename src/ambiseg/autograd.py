@@ -211,10 +211,6 @@ class BatchNormState:
     running_mean: np.ndarray
     running_var: np.ndarray
 
-    @classmethod
-    def create(cls, dim: int) -> "BatchNormState":
-        return cls(running_mean=np.zeros(dim), running_var=np.ones(dim))
-
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                mode: str = "train", update_running: bool = True) -> Tensor:
@@ -331,15 +327,16 @@ def weighted_rows(x: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite differences
 
+# Central-difference step of finite_diff_check.
+FD_STEP = 1e-5
 
-def finite_diff_check(f, params, step: float = 1e-5) -> float:
+
+def finite_diff_check(f, params) -> float:
     """Max relative error between analytic gradients of f() and central differences.
 
     f rebuilds its graph from the live param tensors on every call; the relative
     error denominator is max(1, |analytic|, |numeric|) per coordinate.
     """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError("step must lie in [1e-7, 1e-3]")
     zero_grads(params)
     out = f()
     backward(out)
@@ -349,12 +346,12 @@ def finite_diff_check(f, params, step: float = 1e-5) -> float:
         flat = p.data.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             hi = f().item()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             lo = f().item()
             flat[i] = orig
-            num = (hi - lo) / (2.0 * step)
+            num = (hi - lo) / (2.0 * FD_STEP)
             ana = a.ravel()[i]
             err = abs(ana - num) / max(1.0, abs(ana), abs(num))
             worst = max(worst, err)

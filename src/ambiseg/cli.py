@@ -9,7 +9,7 @@ import numpy as np
 
 from ambiseg import io as aio
 from ambiseg.ambiguity import AefConfig, ambiguity_map
-from ambiseg.cloud import SceneSpec, synth_scene
+from ambiseg.cloud import SCENE_KINDS, SceneSpec, synth_scene
 from ambiseg.config import Config, apply_overrides, parse_config
 from ambiseg.margin import margin_map
 from ambiseg.metrics import breakdown, confusion, scores
@@ -122,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled scene")
-    p.add_argument("--kind", required=True,
-                   choices=["two-rooms", "planar-boundary", "checker-columns"])
+    p.add_argument("--kind", required=True, choices=SCENE_KINDS)
     p.add_argument("--points-per-class", type=int, default=256)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)

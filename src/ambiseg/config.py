@@ -95,9 +95,9 @@ def _assign(cfg: Config, pair: str, lineno: int, where: str) -> Config:
     return replace(cfg, **{f.name: value})
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
+def parse_config(text: str) -> Config:
     """Parse `key = value` lines over defaults; later duplicates win."""
-    cfg = base or Config()
+    cfg = Config()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ambiseg import autograd as ag
-from ambiseg.apm import block_forward, concat_input, init_apm_block, loss_reg
+from ambiseg.apm import block_forward, init_apm_block, loss_reg
 from ambiseg.cloud import PointCloud
 from ambiseg.config import Config
 from ambiseg.network import SegModel, build_geometry, forward, loss_joint
@@ -32,7 +32,7 @@ def check_loss_reg(seed: int) -> float:
     rng = np.random.default_rng(seed)
     n, d = 10, 4
     block = init_apm_block(d, rng)
-    z = concat_input(rng.normal(size=(n, 3)), rng.normal(size=(n, d)))
+    z = np.concatenate([rng.normal(size=(n, 3)), rng.normal(size=(n, d))], axis=1)
     target = rng.uniform(0.05, 0.95, size=n)
 
     def f():

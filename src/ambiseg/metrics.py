@@ -49,7 +49,7 @@ def bin_membership(ambiguities: np.ndarray) -> dict[str, np.ndarray]:
     one = np.abs(a - 1.0) <= BIN_TOL
     low = ~zero & ~semi & ~one & (a < 0.5)
     high = ~zero & ~semi & ~one & (a > 0.5)
-    return {"zero": zero, "low": low, "semi": semi, "high": high, "one": one}
+    return dict(zip(AMBIGUITY_BINS, (zero, low, semi, high, one)))
 
 
 def breakdown(pred: np.ndarray, gt: np.ndarray, ambiguities: np.ndarray,

@@ -16,8 +16,7 @@ import numpy as np
 
 from ambiseg import autograd as ag
 from ambiseg.ambiguity import AefConfig, ambiguity_map
-from ambiseg.apm import (LinearBN, block_forward, concat_input, glorot_uniform, init_apm_block,
-                         loss_reg)
+from ambiseg.apm import LinearBN, block_forward, glorot_uniform, init_apm_block, loss_reg
 from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query, sq_dists
 from ambiseg.config import Config
 from ambiseg.margin import margin_map
@@ -49,15 +48,6 @@ class StageGeometry:
     margins: np.ndarray | None = None
     nbr_matrix: np.ndarray | None = None   # (n_s, K_aef) for the contrast loss
     intra_mask: np.ndarray | None = None
-
-
-def mine_labels(parent_labels: np.ndarray, sampled_indices: np.ndarray) -> np.ndarray:
-    """Sampled points inherit the label of their source point."""
-    parent_labels = np.asarray(parent_labels)
-    idx = np.asarray(sampled_indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= parent_labels.shape[0]):
-        raise ValueError("sampled index out of parent range")
-    return parent_labels[idx]
 
 
 class SegModel:
@@ -126,7 +116,7 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[St
         n_s = sizes[s - 1]
         idx = fps_indices(parent_pos, n_s)
         pos = parent_pos[idx]
-        lab = mine_labels(parent_lab, idx) if parent_lab is not None else None
+        lab = parent_lab[idx] if parent_lab is not None else None   # inherited labels
         enc_nbr = knn_query(parent_pos, pos, min(cfg.k, parent_pos.shape[0]))
         # 3-NN inverse-squared-distance interpolation weights
         up_idx = knn_query(pos, parent_pos, min(3, n_s))
@@ -159,17 +149,14 @@ class ForwardResult:
     geometry: list[StageGeometry]
 
 
-def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
-            geometry: list[StageGeometry] | None = None,
-            update_running: bool | None = None) -> ForwardResult:
-    """Full network pass; train mode also evaluates AEF targets and APM outputs."""
+def forward(model: SegModel, cloud: PointCloud, mode: str, geometry: list[StageGeometry],
+            update_running: bool = True) -> ForwardResult:
+    """Full network pass over the caller's ``build_geometry(cloud, cfg, with_labels=...)``.
+
+    Train mode needs the labelled geometry and also runs the regressors for the loss;
+    ``update_running`` matters only in train mode.
+    """
     cfg = model.cfg
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if update_running is None:
-        update_running = mode == "train"
-    if geometry is None:
-        geometry = build_geometry(cloud, cfg, with_labels=mode == "train")
     f0 = cloud.features if cloud.features is not None else cloud.positions
     if f0.shape[1] != model.feat_dim0:
         raise ValueError(f"initial feature dim {f0.shape[1]} != model dim {model.feat_dim0}")
@@ -195,7 +182,7 @@ def forward(model: SegModel, cloud: PointCloud, mode: str = "train",
     for s in range(1, cfg.stages + 1):
         geo = geometry[s - 1]
         block = model.apm[s - 1]
-        z_np = concat_input(geo.positions, enc_feats[s].data)
+        z_np = np.concatenate([geo.positions, enc_feats[s].data], axis=1)
         if mode == "train":
             if cfg.apm_detach:
                 z = ag.Tensor(z_np)
@@ -275,9 +262,8 @@ def train(model: SegModel, clouds: list[PointCloud], epochs: int | None = None,
     velocity = [np.zeros_like(p.data) for p in params]
     geometries = [build_geometry(c, cfg, with_labels=True) for c in clouds]
     history: list[LossReport] = []
-    total_epochs = max(epochs, 1)
     for epoch in range(epochs):
-        lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
+        lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         last_report = None
         for cloud, geometry in zip(clouds, geometries):
             for _ in range(steps_per_epoch):

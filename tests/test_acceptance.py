@@ -10,7 +10,7 @@ from ambiseg import autograd as ag
 from ambiseg import cli
 from ambiseg import io as aio
 from ambiseg.ambiguity import AefConfig, ambiguity_map
-from ambiseg.apm import block_forward, concat_input, init_apm_block, loss_reg
+from ambiseg.apm import block_forward, init_apm_block, loss_reg
 from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config
 from ambiseg.gradcheck import run_gradcheck
@@ -208,7 +208,7 @@ def test_criterion_09_apm_regression(overfit_run):
     result = forward(model, cloud, mode="infer", geometry=geometry,
                      update_running=False)
     feats = result.stage_feats[1].data.copy()
-    z = concat_input(geometry[0].positions, feats)
+    z = np.concatenate([geometry[0].positions, feats], axis=1)
     target = geometry[0].ambiguities
     maes = []
     for seed in range(5):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ambiseg import autograd as ag
-from ambiseg.apm import (APM_CHANNELS, LinearBN, block_forward, concat_input,
-                         glorot_uniform, init_apm_block, loss_reg)
+from ambiseg.apm import (APM_CHANNELS, LinearBN, block_forward, glorot_uniform,
+                         init_apm_block, loss_reg)
 
 
 def block_parameters(block):
@@ -28,18 +28,6 @@ def test_glorot_bounds():
     bound = np.sqrt(6.0 / 32)
     assert w.shape == (8, 24)
     assert np.all(np.abs(w) <= bound)
-
-
-def test_concat_input():
-    p = np.zeros((5, 3))
-    f = np.ones((5, 4))
-    z = concat_input(p, f)
-    assert z.shape == (5, 7)
-    np.testing.assert_array_equal(z[:, :3], 0.0)
-    with pytest.raises(ValueError):
-        concat_input(np.zeros((5, 2)), f)
-    with pytest.raises(ValueError):
-        concat_input(p, np.zeros((5, 0)))
 
 
 def test_forward_output_in_unit_interval():

@@ -8,8 +8,8 @@ from ambiseg import gradcheck
 from oracles import mul, tsum
 
 
-def check(f, params, step=1e-5):
-    return ag.finite_diff_check(f, params, step)
+def check(f, params):
+    return ag.finite_diff_check(f, params)
 
 
 def test_backward_requires_scalar():
@@ -92,7 +92,7 @@ def test_batch_norm_train_gradients_and_running_stats():
     x = ag.Tensor(rng.normal(size=(8, 3)), requires_grad=True)
     gamma = ag.Tensor(np.ones(3) * 1.3, requires_grad=True)
     beta = ag.Tensor(np.zeros(3) + 0.1, requires_grad=True)
-    state = ag.BatchNormState.create(3)
+    state = ag.BatchNormState(running_mean=np.zeros(3), running_var=np.ones(3))
 
     def f():
         return tsum(mul(ag.batch_norm(x, gamma, beta, state, mode="train",
@@ -281,12 +281,6 @@ def test_shared_inputs_get_summed_gradients_without_mutating_upstream():
     np.testing.assert_array_equal(x.grad, w[:, :3] + w[:, 3:])
 
 
-def test_finite_diff_check_rejects_bad_step():
-    x = ag.Tensor(np.ones(2), requires_grad=True)
-    with pytest.raises(ValueError):
-        ag.finite_diff_check(lambda: tsum(x), [x], step=1e-2)
-
-
 PRIMITIVES = {"add", "scale", "affine", "sigmoid", "relu", "concat_cols", "gather_rows",
               "weighted_rows", "neighborhood_max", "batch_norm", "cross_entropy",
               "contrast_loss", "mae"}
@@ -317,7 +311,7 @@ def test_gradcheck_runs_every_primitive_forward_and_backward(monkeypatch):
     for name in PRIMITIVES:
         monkeypatch.setattr(ag, name, traced(name, getattr(ag, name)))
 
-    def build_and_backpropagate_once(f, params, step=1e-5):
+    def build_and_backpropagate_once(f, params):
         ag.zero_grads(params)
         ag.backward(f())
         return 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config
 from ambiseg.network import (SegModel, _stage_sizes, build_geometry, forward,
-                             loss_joint, mine_labels, predict, train)
+                             loss_joint, predict, train)
 
 SMALL = Config(k=8, k_tilde=4, dims=(6, 8), stages=2, seed=0)
 
@@ -19,13 +20,6 @@ SMALL = Config(k=8, k_tilde=4, dims=(6, 8), stages=2, seed=0)
 def small_cloud(seed=0):
     return synth_scene(SceneSpec("planar-boundary", points_per_class=60,
                                  noise_sigma=0.02, seed=seed))
-
-
-def test_mine_labels():
-    parent = np.array([0, 1, 2, 1])
-    np.testing.assert_array_equal(mine_labels(parent, [3, 0]), [1, 0])
-    with pytest.raises(ValueError):
-        mine_labels(parent, [4])
 
 
 def test_stage_sizes():
@@ -38,9 +32,11 @@ def test_build_geometry_shapes():
     cloud = small_cloud()
     geoms = build_geometry(cloud, SMALL, with_labels=True)
     sizes = _stage_sizes(cloud.n, SMALL)
-    parent_n = cloud.n
+    parent_n, parent_labels = cloud.n, cloud.labels
     for geo, n_s in zip(geoms, sizes):
         assert geo.indices.shape == (n_s,)
+        # sampled points inherit the label of their source point
+        np.testing.assert_array_equal(geo.labels, parent_labels[geo.indices])
         assert geo.positions.shape == (n_s, 3)
         assert geo.enc_nbr.shape == (n_s, SMALL.k)
         assert geo.enc_nbr.max() < parent_n
@@ -49,7 +45,7 @@ def test_build_geometry_shapes():
         assert geo.mr_nbr.shape == (n_s, SMALL.k_tilde - 1)
         assert geo.ambiguities.shape == (n_s,)
         np.testing.assert_allclose(geo.margins, 0.5 - geo.ambiguities)
-        parent_n = n_s
+        parent_n, parent_labels = n_s, geo.labels
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.02])
@@ -101,33 +97,90 @@ def test_build_geometry_memory_stays_linear_in_n():
 def test_forward_shapes_and_modes():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    out = forward(model, cloud, mode="train")
+    out = forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
     assert out.scores.data.shape == (cloud.n, cloud.num_classes)
     assert set(out.apm_train_out) == {1, 2}
-    infer = forward(model, cloud, mode="infer")
+    unlabelled = build_geometry(cloud, SMALL, with_labels=False)
+    infer = forward(model, cloud, "infer", unlabelled)
     assert not infer.apm_train_out
     assert set(infer.pred_amb) == {1, 2}
-    with pytest.raises(ValueError):
-        forward(model, cloud, mode="test")
+    with pytest.raises(ValueError, match="unknown mode 'test'"):
+        forward(model, cloud, "test", unlabelled)
+
+
+def test_regressor_input_is_position_first(monkeypatch):
+    cloud = small_cloud()
+    model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
+    geometry = build_geometry(cloud, SMALL, with_labels=True)
+    original, inputs = network.block_forward, []
+
+    def recording(z, block, **kwargs):
+        inputs.append(z.data if isinstance(z, ag.Tensor) else z)
+        return original(z, block, **kwargs)
+
+    monkeypatch.setattr(network, "block_forward", recording)
+    forward(model, cloud, "train", geometry)
+    # one train-mode and one infer-mode regressor pass per stage
+    assert len(inputs) == 2 * SMALL.stages
+    for z, geo in zip(inputs, [g for g in geometry for _ in range(2)]):
+        np.testing.assert_array_equal(z[:, :3], geo.positions)
 
 
 def test_forward_rejects_wrong_feature_width():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=5, num_classes=2)
     with pytest.raises(ValueError):
-        forward(model, cloud)
+        forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
 
 
 def test_loss_report_is_consistent():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    result = forward(model, cloud, mode="train")
+    result = forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
     total, report = loss_joint(model, result, cloud.labels)
     blend = SMALL.lam * report.l_ce + (1 - SMALL.lam) * sum(report.l_am)
     assert report.l_seg == pytest.approx(blend, rel=1e-12)
     expected_total = blend + SMALL.omega * sum(report.l_reg)
     assert report.l_total == pytest.approx(expected_total, rel=1e-12)
     assert total.item() == report.l_total
+
+
+def _train_graph(cfg: Config) -> Counter:
+    """Nodes reachable from one train step's total loss, counted by primitive."""
+    cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=100,
+                                  noise_sigma=0.0, seed=0))
+    model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
+    geometry = build_geometry(cloud, cfg, with_labels=True)
+    total, _ = loss_joint(model, forward(model, cloud, mode="train", geometry=geometry),
+                          cloud.labels)
+    counts: Counter = Counter()
+    seen: set[int] = set()
+    stack = [total]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            counts[node._backward.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    return counts
+
+
+TRAIN_GRAPH = {"add": 4, "affine": 17, "batch_norm": 16, "concat_cols": 4, "contrast_loss": 2,
+               "cross_entropy": 1, "gather_rows": 2, "mae": 2, "neighborhood_max": 2,
+               "relu": 4, "scale": 5, "sigmoid": 12, "weighted_rows": 2}
+
+
+def test_train_step_graph_is_pinned():
+    # The detached infer-mode regressor adds nodes the loss never reaches.
+    counts = _train_graph(Config())
+    assert dict(counts) == TRAIN_GRAPH
+    assert sum(counts.values()) == 73
+    # epsilon_lo = 0 puts every point in the refinement band: one blend per stage
+    refined = _train_graph(Config(epsilon_lo=0.0))
+    assert dict(refined) == TRAIN_GRAPH | {"weighted_rows": 4}
+    assert sum(refined.values()) == 75
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -148,7 +201,7 @@ def test_training_reduces_loss_and_is_deterministic():
 def test_parameter_gradients_are_owned_arrays_of_the_parameter_shape():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    result = forward(model, cloud, mode="train")
+    result = forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
     total, _ = loss_joint(model, result, cloud.labels)
     ag.backward(total)
     params = [p for p in model.parameters() if p.grad is not None]
