@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ambiseg.cloud import PointCloud, knn_all, sq_dists
+from ambiseg.cloud import PointCloud, knn_all
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,14 @@ def ambiguity_map(cloud: PointCloud, cfg: AefConfig,
         nbrs = knn_all(cloud.positions, cfg.k)
     elif nbrs.shape != (cloud.n, cfg.k):
         raise ValueError(f"neighbour matrix {nbrs.shape} != ({cloud.n}, {cfg.k})")
-    d2 = sq_dists(cloud.positions[nbrs], cloud.positions[:, None, :])
+    # One (n, K, 3) array: the gathered neighbours, turned in place into squared
+    # differences and summed as (dx^2 + dy^2) + dz^2, the float sequence of sq_dists.
+    diff = cloud.positions[nbrs]
+    diff -= cloud.positions[:, None, :]
+    diff *= diff
+    d2 = np.add(diff[..., 0], diff[..., 1])
+    d2 += diff[..., 2]
+    del diff
     same = cloud.labels[nbrs] == cloud.labels[:, None]
     n_plus = same.sum(axis=1)
     n_minus = cfg.k - n_plus

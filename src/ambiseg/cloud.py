@@ -10,10 +10,12 @@ from scipy.spatial import cKDTree
 # knn_query always takes its candidates from a kd-tree. Nothing in the library
 # reads this; it stays 0 for scripts that record it.
 KDTREE_CUTOFF = 0
-# Extra candidates per query beyond k, so ties at the k-th distance are rarely
-# cut off by the candidate boundary and rows seldom take the exact fallback.
-_KNN_SLACK = 8
-# Candidate entries per block of query rows: the block's (rows, k + slack)
+# Extra candidates per query beyond k (first tier) and beyond 2k (second tier).
+# Rows whose k-th distance ties the candidate boundary go to the wider second
+# query, so the first can stay narrow; only rows still tied there reach the
+# ball query.
+_KNN_SLACK = 4
+# Candidate entries per block of query rows: a block's (rows, candidates)
 # index and distance arrays stay at 256 KB each, whatever the query count.
 _BLOCK_ELEMS = 1 << 15
 
@@ -97,14 +99,56 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
 
 
+def _ranked_candidates(tree, cols, q: np.ndarray, kc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tree's ``kc`` candidates for each row of ``q``, ranked by (squared
+    distance from ``sq_dists``, index), with those distances."""
+    # One thread on purpose: threaded queries (workers=-1) lost end to end
+    # on a 2-core host, competing with the BLAS threads of the forward pass.
+    _, cand = tree.query(q, k=kc)
+    cand = cand.reshape(q.shape[0], kc)
+    # (dx^2 + dy^2) + dz^2 column by column, the float sequence of sq_dists
+    cd2 = np.take(cols[0], cand)
+    cd2 -= q[:, 0:1]
+    cd2 *= cd2
+    t = np.empty_like(cd2)
+    for j in (1, 2):
+        np.take(cols[j], cand, out=t)
+        t -= q[:, j:j + 1]
+        t *= t
+        cd2 += t
+    # The indices in a row are distinct, so a row already in (distance,
+    # index) order is exactly what the lexsort would return.
+    prev, nxt = cd2[:, :-1], cd2[:, 1:]
+    disordered = (nxt < prev) | ((nxt == prev) & (cand[:, 1:] < cand[:, :-1]))
+    bad = np.flatnonzero(disordered.any(axis=1))
+    if bad.size:
+        order = np.lexsort((cand[bad], cd2[bad]), axis=1)
+        cand[bad] = np.take_along_axis(cand[bad], order, axis=1)
+        cd2[bad] = np.take_along_axis(cd2[bad], order, axis=1)
+    return cand, cd2
+
+
+def _unsettled(cd2: np.ndarray, k: int) -> np.ndarray:
+    """Rows whose top k may miss a point outside their candidates.
+
+    The tree ranks by its own rounding of the distance. Points outside the
+    candidates are at least as far as the last one up to that rounding, so the
+    top k are settled only when the k-th distance stays clearly below it.
+    """
+    return np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9))
+
+
 def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """(m, k) indices of the k nearest ``ref`` rows to each query row.
 
     Ranks by (squared distance from ``sq_dists``, index): ties go to the lower
-    index. A kd-tree, queried in blocks of rows, proposes ``k + _KNN_SLACK``
-    candidates per row; their distances are recomputed by the library rule and
-    re-ranked, and a row whose k-th candidate may tie a point outside them is
-    settled exactly from a ball query.
+    index. Three exact tiers, each in bounded blocks of rows:
+
+    1. every row takes ``k + _KNN_SLACK`` kd-tree candidates, whose distances
+       are recomputed by the library rule and re-ranked;
+    2. a row whose k-th candidate may tie a point outside them is queried
+       again, the same way, with ``2k + _KNN_SLACK`` candidates;
+    3. a row still unsettled after that is settled from a ball query.
     """
     ref = np.asarray(ref, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -114,52 +158,39 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     out = np.empty((m, k), dtype=np.int64)
     if m == 0:
         return out
-    kc = min(k + _KNN_SLACK, n)
     tree = cKDTree(ref)
     cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
+    kc = min(k + _KNN_SLACK, n)
     block = max(1, _BLOCK_ELEMS // kc)
+    retry = []
     for lo in range(0, m, block):
-        q = queries[lo:lo + block]
-        # One thread on purpose: threaded queries (workers=-1) lost end to end
-        # on a 2-core host, competing with the BLAS threads of the forward pass.
-        _, cand = tree.query(q, k=kc)
-        cand = cand.reshape(q.shape[0], kc)
-        # (dx^2 + dy^2) + dz^2 column by column, the float sequence of sq_dists
-        cd2 = np.take(cols[0], cand)
-        cd2 -= q[:, 0:1]
-        cd2 *= cd2
-        t = np.empty_like(cd2)
-        for j in (1, 2):
-            np.take(cols[j], cand, out=t)
-            t -= q[:, j:j + 1]
-            t *= t
-            cd2 += t
-        # The indices in a row are distinct, so a row already in (distance,
-        # index) order is exactly what the lexsort would return.
-        prev, nxt = cd2[:, :-1], cd2[:, 1:]
-        disordered = (nxt < prev) | ((nxt == prev) & (cand[:, 1:] < cand[:, :-1]))
-        bad = np.flatnonzero(disordered.any(axis=1))
-        if bad.size:
-            order = np.lexsort((cand[bad], cd2[bad]), axis=1)
-            cand[bad] = np.take_along_axis(cand[bad], order, axis=1)
-            cd2[bad] = np.take_along_axis(cd2[bad], order, axis=1)
-        out[lo:lo + q.shape[0]] = cand[:, :k]
+        cand, cd2 = _ranked_candidates(tree, cols, queries[lo:lo + block], kc)
+        out[lo:lo + cand.shape[0]] = cand[:, :k]
+        if kc < n:
+            retry.append(lo + _unsettled(cd2, k))
+    if not retry:
+        return out
+    rows = np.concatenate(retry)
+    kc = min(2 * k + _KNN_SLACK, n)
+    block = max(1, _BLOCK_ELEMS // kc)
+    for lo in range(0, rows.size, block):
+        r = rows[lo:lo + block]
+        q = queries[r]
+        cand, cd2 = _ranked_candidates(tree, cols, q, kc)
+        out[r] = cand[:, :k]
         if kc == n:
             continue
-        # The tree ranks by its own rounding of the distance. Points outside the
-        # candidates are at least as far as the last one up to that rounding, so
-        # the top k are settled only when the k-th distance stays clearly below it.
-        unsettled = np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9))
+        unsettled = _unsettled(cd2, k)
         if unsettled.size == 0:
             continue
         # Inflate the radius slightly so boundary ties survive metric rounding,
         # then re-rank the ball with the exact rule.
         radii = np.sqrt(cd2[unsettled, k - 1]) * (1 + 1e-9) + 1e-300
         balls = tree.query_ball_point(q[unsettled], radii)
-        for r, ball in zip(unsettled, balls):
+        for i, ball in zip(unsettled, balls):
             ball = np.asarray(ball, dtype=np.int64)
-            d2 = sq_dists(ref[ball], q[r])
-            out[lo + r] = ball[np.lexsort((ball, d2))][:k]
+            d2 = sq_dists(ref[ball], q[i])
+            out[r[i]] = ball[np.lexsort((ball, d2))][:k]
     return out
 
 

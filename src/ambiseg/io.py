@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from io import BytesIO
 from pathlib import Path
 
@@ -40,10 +41,16 @@ def write_cloud(path: str | Path, cloud: PointCloud) -> None:
     write_table(path, [header], [*cloud.positions.T, *feats, cloud.labels], " ")
 
 
-def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
+def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, labels) from the cloud's text lines, one token at a time.
+
+    The reference parser: the only source of line-numbered errors, and of the
+    spellings only ``float`` and ``int`` accept, such as ``1_0`` and
+    non-ASCII digits.
+    """
     rows, labels = [], []
     width = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -59,12 +66,43 @@ def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
             labels.append(int(tokens[-1]))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
-    if not rows:
+    return np.array(rows), np.array(labels, dtype=np.int64)
+
+
+def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
+    """A cloud written as one point per line: x y z [feat...] label.
+
+    Blank lines and lines starting with ``#`` are skipped. An ASCII file is
+    parsed by one ``np.loadtxt`` call; a file it rejects, or one with non-ASCII
+    text, goes through ``_parse_rows``. Both give the same arrays, bit for bit,
+    and every error comes from ``_parse_rows`` with its line number.
+    """
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    data = [s for line in lines if (s := line.strip()) and s[0] != "#"]
+    if not data:
         raise ValueError(f"{path}: no points")
-    data = np.array(rows)
-    labels = np.array(labels, dtype=np.int64)
-    positions = data[:, :3]
-    features = data[:, 3:] if data.shape[1] > 3 else None
+    width = len(data[0].split())
+    values = None
+    # Non-ASCII text stays off loadtxt: numpy 2.4.6's int64 field parser crashes
+    # the interpreter on some such tokens (U+10204A), and the digits it would
+    # have to accept are float's and int's alone.
+    if width >= 4 and text.isascii():
+        dtype = np.dtype([("values", np.float64, (width - 1,)), ("label", np.int64)])
+        try:
+            # numpy 1.x reads "1.5" as label 1 with a DeprecationWarning: as an
+            # error it is a ValueError, and the row goes to _parse_rows.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                # comments=None: "1 2 3 1 # tail" is a bad row, not a comment
+                table = np.loadtxt(data, dtype=dtype, comments=None, ndmin=1)
+            values, labels = table["values"], table["label"]
+        except ValueError:
+            pass
+    if values is None:
+        values, labels = _parse_rows(lines)
+    positions = values[:, :3]
+    features = values[:, 3:] if values.shape[1] > 3 else None
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return PointCloud(positions, labels, num_classes, features)

@@ -112,18 +112,42 @@ def knn_oracle(ref, queries, k):
     return np.asarray(rows, dtype=np.int64).reshape(len(queries), k)
 
 
-@pytest.fixture
-def fallback_rows(monkeypatch):
-    """Count the rows that leave the batched candidates for the exact ball fallback."""
-    count = [0]
+def record_tree_calls(monkeypatch):
+    """Record knn_query's tree calls: ("query", candidates, rows) or ("ball", rows)."""
+    calls = []
 
-    class CountingTree(cl.cKDTree):
+    class RecordingTree(cl.cKDTree):
+        def query(self, x, k=1, *args, **kwargs):
+            calls.append(("query", k, len(x)))
+            return super().query(x, k, *args, **kwargs)
+
         def query_ball_point(self, x, r, *args, **kwargs):
-            count[0] += len(x)
+            calls.append(("ball", len(x)))
             return super().query_ball_point(x, r, *args, **kwargs)
 
-    monkeypatch.setattr(cl, "cKDTree", CountingTree)
-    return lambda: count[0]
+    monkeypatch.setattr(cl, "cKDTree", RecordingTree)
+    return calls
+
+
+def tier_rows(calls):
+    """Rows of one knn_query call at each tier: first query, second query, ball query.
+
+    The second query asks for more candidates than the first, and every first
+    query comes before it.
+    """
+    first_k = calls[0][1]
+    rows = {"first": 0, "second": 0, "ball": 0}
+    for call in calls:
+        tier = "ball" if call[0] == "ball" else "first" if call[1] == first_k else "second"
+        rows[tier] += call[-1]
+    return rows
+
+
+def duplicate_heavy_cloud():
+    """200 normal points and 60 more copies of one of them: rows near the copies
+    stay tied past the second query's 2k + slack candidates at k = 20."""
+    pos = np.random.default_rng(8).normal(size=(200, 3))
+    return np.vstack([pos[:130], np.repeat(pos[130:131], 60, axis=0), pos[130:]])
 
 
 def test_knn_query_matches_oracle():
@@ -136,51 +160,66 @@ def test_knn_query_matches_oracle():
         np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
 
 
-def test_knn_query_lattice_ties_take_the_exact_fallback(fallback_rows):
-    pos = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
-    for k in (8, 24):
-        np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
-    assert fallback_rows() > 0
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 400), extent=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       k_frac=st.floats(0.0, 1.0))
-def test_knn_query_property_on_integer_grids(n, extent, seed, k_frac):
-    # integer-grid clouds are full of exact distance ties and duplicates
-    rng = np.random.default_rng(seed)
-    ref = rng.integers(0, extent + 1, size=(n, 3)).astype(np.float64)
-    # queries on the half-step grid, so some sit between reference points
-    queries = rng.integers(0, 2 * extent + 1, size=(25, 3)) / 2.0
-    k = 1 + int(k_frac ** 2 * (n - 1))
-    np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
-
-
-def test_knn_query_blocks_keep_their_row_offsets(monkeypatch):
-    # Blocks of a few rows split the 600-point lattice into hundreds of tree
-    # queries; the exact fallback must write back to the rows of its own block.
-    monkeypatch.setattr(cl, "_BLOCK_ELEMS", 64)
-    calls = []
-
-    class BlockTree(cl.cKDTree):
-        def query(self, *args, **kwargs):
-            calls.append("query")
-            return super().query(*args, **kwargs)
-
-        def query_ball_point(self, *args, **kwargs):
-            calls.append("ball")
-            return super().query_ball_point(*args, **kwargs)
-
-    monkeypatch.setattr(cl, "cKDTree", BlockTree)
+def test_knn_query_lattice_ties_take_the_exact_fallback(monkeypatch):
+    # On the lattice, rows tied at the first query's candidate boundary are
+    # settled by the wider second query; none is left for the ball query.
+    calls = record_tree_calls(monkeypatch)
     pos = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
     for k in (8, 24):
         calls.clear()
         np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
-        blocks = calls.count("query")
-        assert blocks >= 600 // (64 // (k + cl._KNN_SLACK))
-        # the block index of each fallback is the number of tree queries before it
-        fallback_blocks = [calls[:i].count("query") for i, c in enumerate(calls) if c == "ball"]
-        assert max(fallback_blocks) > 1
+        rows = tier_rows(calls)
+        assert rows["first"] == 600 and rows["second"] > 0 and rows["ball"] == 0, (k, rows)
+
+
+def test_knn_query_duplicate_heavy_rows_take_the_ball_query(monkeypatch):
+    calls = record_tree_calls(monkeypatch)
+    pos = duplicate_heavy_cloud()
+    np.testing.assert_array_equal(knn_query(pos, pos, 20), knn_oracle(pos, pos, 20))
+    rows = tier_rows(calls)
+    # the 61 copies, plus normal points whose 20th neighbour is among them
+    assert rows["ball"] > 61, rows
+
+
+def test_knn_query_property_on_integer_grids(monkeypatch):
+    calls = record_tree_calls(monkeypatch)
+    paths = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 400), extent=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           k_frac=st.floats(0.0, 1.0))
+    def check(n, extent, seed, k_frac):
+        # integer-grid clouds are full of exact distance ties and duplicates
+        rng = np.random.default_rng(seed)
+        ref = rng.integers(0, extent + 1, size=(n, 3)).astype(np.float64)
+        # queries on the half-step grid, so some sit between reference points
+        queries = rng.integers(0, 2 * extent + 1, size=(25, 3)) / 2.0
+        k = 1 + int(k_frac ** 2 * (n - 1))
+        calls.clear()
+        np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
+        rows = tier_rows(calls)
+        paths.add("ball" if rows["ball"] else "second" if rows["second"] else "first only")
+
+    check()
+    assert paths == {"first only", "second", "ball"}
+
+
+def test_knn_query_blocks_keep_their_row_offsets(monkeypatch):
+    # Blocks of a few rows split each tier into many tree calls; the second
+    # query and the ball query must write back to the rows of their own block.
+    monkeypatch.setattr(cl, "_BLOCK_ELEMS", 64)
+    calls = record_tree_calls(monkeypatch)
+    lattice = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
+    for pos, k in ((lattice, 8), (lattice, 24), (duplicate_heavy_cloud(), 20)):
+        calls.clear()
+        np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
+        first_blocks = [c for c in calls if c[:2] == ("query", k + cl._KNN_SLACK)]
+        second_blocks = [c for c in calls if c[:2] == ("query", 2 * k + cl._KNN_SLACK)]
+        assert len(first_blocks) >= len(pos) // (64 // (k + cl._KNN_SLACK))
+        assert max(c[2] for c in second_blocks) <= 64 // (2 * k + cl._KNN_SLACK)
+        assert len(second_blocks) > 1
+    # on the duplicate-heavy cloud, ball queries come from several second-query blocks
+    assert sum(c[0] == "ball" for c in calls) > 1
 
 
 def test_knn_all_memory_stays_bounded_by_blocks():

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ambiseg import io as aio
 from ambiseg.cloud import PointCloud
@@ -48,6 +50,83 @@ def test_read_cloud_errors(tmp_path):
     path.write_text("# header\n\n0 0 0 1.5\n")
     with pytest.raises(ValueError, match="line 3: .*'1.5'"):
         aio.read_cloud(path)
+
+
+# Inputs whose result must stay what the per-line parser gives: spellings only
+# float() and int() accept, and rows numpy's reader would read differently.
+READ_CLOUD_EDGES = [
+    ("1_0 2 3 1_0\n", [[10.0, 2.0, 3.0]], [10]),
+    ("+1 -0 3e0 +1\n", [[1.0, -0.0, 3.0]], [1]),
+    ("\uff11 2 3 \uff11\n", [[1.0, 2.0, 3.0]], [1]),  # fullwidth digit one
+    ("0 0 0 0\n1 2 3 1 # tail\n", "line 2: inconsistent token count", None),
+    ("0 0 0 0\n1 2 3 1#tail\n", "line 2: invalid literal for int() with base 10: '1#tail'", None),
+    ("0 0 0 0\n1 2 3 1.5\n", "line 2: invalid literal for int() with base 10: '1.5'", None),
+    ("1 2 3 3.0\n", "line 1: invalid literal for int() with base 10: '3.0'", None),
+    ("1 2 3\n", "line 1: need at least x y z label", None),
+    ("# c\n1 2 3 0\n\n1 2 3 4 0\n", "line 4: inconsistent token count", None),
+    ("nan 2 3 0\n", "positions must be finite", None),
+    # a private-use character, which numpy 2.4.6's integer parser crashes on
+    ("1 2 3 \U0010204a\n", r"line 1: invalid literal for int() with base 10: '\U0010204a'", None),
+]
+
+
+@pytest.mark.parametrize("text, expected, labels", READ_CLOUD_EDGES)
+def test_read_cloud_edge_cases_keep_the_per_line_result(tmp_path, text, expected, labels):
+    path = tmp_path / "edge.txt"
+    path.write_text(text, encoding="utf-8")
+    if labels is None:
+        with pytest.raises(ValueError) as err:
+            aio.read_cloud(path)
+        assert str(err.value).startswith(expected)
+    else:
+        cloud = aio.read_cloud(path)
+        assert cloud.positions.tobytes() == np.array(expected).tobytes()
+        np.testing.assert_array_equal(cloud.labels, labels)
+
+
+def test_read_cloud_matches_the_per_line_parser_bit_for_bit(tmp_path, monkeypatch):
+    # Every file here is one the one-call reader must take: the per-line parser
+    # gives the reference arrays first, then is replaced by a tripwire.
+    reference = aio._parse_rows
+
+    def tripwire(lines):
+        raise AssertionError("read_cloud fell back to the per-line parser")
+
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 20).flatmap(lambda n: st.lists(
+               st.tuples(st.lists(floats, min_size=3, max_size=6), st.integers(0, 40)),
+               min_size=n, max_size=n)),
+           columns=st.integers(3, 6), spelling=st.sampled_from([repr, aio.fmt]),
+           seps=st.lists(st.sampled_from([" ", "\t", "  ", " \t "]), min_size=1),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           extras=st.lists(st.tuples(st.integers(0, 20),
+                                     st.sampled_from(["", "   ", "# note", "  # 1 2 3 0"]))))
+    @example(rows=[([-0.0, 5e-324, -2.5e300], 0), ([0.0, 1e-5, 1.5e16], 3)], columns=3,
+             spelling=repr, seps=["\t"], newline="\r\n", extras=[(0, "# x y z label"), (1, "")])
+    def check(rows, columns, spelling, seps, newline, extras):
+        lines = []
+        for i, (values, label) in enumerate(rows):
+            tokens = [spelling(v) for v in (values * 2)[:columns]] + [str(label)]
+            sep = seps[i % len(seps)]
+            lines.append(sep.join(tokens) + (sep if i % 3 == 0 else ""))
+        for at, extra in extras:
+            lines.insert(min(at, len(lines)), extra)
+        path = tmp_path / "cloud.txt"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        want_values, want_labels = reference(path.read_text().splitlines())
+        with monkeypatch.context() as m:
+            m.setattr(aio, "_parse_rows", tripwire)
+            cloud = aio.read_cloud(path, num_classes=41)
+        assert cloud.positions.tobytes() == np.ascontiguousarray(want_values[:, :3]).tobytes()
+        if columns == 3:
+            assert cloud.features is None
+        else:
+            assert cloud.features.tobytes() == np.ascontiguousarray(want_values[:, 3:]).tobytes()
+        assert cloud.labels.tobytes() == want_labels.tobytes()
+
+    check()
 
 
 def test_ambiguity_csv(tmp_path):
