@@ -32,10 +32,17 @@ class LinearBN:
         self.bn = ag.BatchNormState(running_mean=np.zeros(d_out), running_var=np.ones(d_out))
 
     def __call__(self, x: ag.Tensor, mode: str, update_running: bool, act: str = "relu") -> ag.Tensor:
+        """The unit's output; in infer mode a constant ``Tensor`` with no graph.
+
+        Nothing differentiates an inference pass, so an infer-mode unit keeps no
+        parents: its affine, batch-norm and activation arrays are freed once the
+        next unit has read its output.
+        """
         y = ag.affine(x, self.w, self.b)
         y = ag.batch_norm(y, self.gamma, self.beta, self.bn, mode=mode,
                           update_running=update_running)
-        return ag.sigmoid(y) if act == "sigmoid" else ag.relu(y)
+        y = ag.sigmoid(y) if act == "sigmoid" else ag.relu(y)
+        return ag.Tensor(y.data) if mode == "infer" else y
 
     def parameters(self):
         return [self.w, self.b, self.gamma, self.beta]

@@ -51,9 +51,10 @@ def cmd_ambiguity(args) -> int:
     cloud = _read_input(args)
     amb = ambiguity_map(cloud, AefConfig(k=min(cfg.k, cloud.n), beta=cfg.beta))
     margins = margin_map(amb.values, cfg.mu, cfg.nu)
-    aio.write_ambiguity_csv(args.out, cloud, amb.values, margins)
+    coords = aio.format_columns(cloud.positions)   # formatted once for both files
+    aio.write_ambiguity_csv(args.out, cloud, amb.values, margins, coords)
     if args.ply:
-        aio.write_ply(args.ply, cloud.positions, amb.values)
+        aio.write_ply(args.ply, cloud.positions, amb.values, coords)
     print(f"wrote ambiguity for {cloud.n} points to {args.out}")
     return EXIT_OK
 

@@ -24,6 +24,8 @@ from ambiseg.refine import refine
 
 DOWNSAMPLE_RATIO = 0.25
 HEAD_HIDDEN = 16
+# Elements of the widest (rows, channels) array of one infer-mode encoder block.
+_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass
@@ -149,6 +151,17 @@ class ForwardResult:
     geometry: list[StageGeometry]
 
 
+def _encode_groups(unit: LinearBN, parent_pos: np.ndarray, parent_feats: ag.Tensor,
+                   geo: StageGeometry, groups: slice, mode: str,
+                   update_running: bool) -> ag.Tensor:
+    """Shared MLP over the neighbour rows of the stage points ``groups``, then the
+    max over each point's rows: (groups, d)."""
+    nbr = geo.enc_nbr[groups]
+    rel = (parent_pos[nbr] - geo.positions[groups, None, :]).reshape(-1, 3)
+    inp = ag.concat_cols([ag.Tensor(rel), ag.gather_rows(parent_feats, nbr.ravel())])
+    return ag.neighborhood_max(unit(inp, mode, update_running), *nbr.shape)
+
+
 def forward(model: SegModel, cloud: PointCloud, mode: str, geometry: list[StageGeometry],
             update_running: bool = True) -> ForwardResult:
     """Full network pass over the caller's ``build_geometry(cloud, cfg, with_labels=...)``.
@@ -167,12 +180,20 @@ def forward(model: SegModel, cloud: PointCloud, mode: str, geometry: list[StageG
     parent_pos, parent_feats = cloud.positions, feats0
     for s in range(1, cfg.stages + 1):
         geo = geometry[s - 1]
-        n_s, k_enc = geo.enc_nbr.shape
-        rel = (parent_pos[geo.enc_nbr] - geo.positions[:, None, :]).reshape(-1, 3)
-        nbr_feats = ag.gather_rows(parent_feats, geo.enc_nbr.ravel())
-        inp = ag.concat_cols([ag.Tensor(rel), nbr_feats])
-        h = model.enc[s - 1](inp, mode, update_running)
-        enc_feats[s] = ag.neighborhood_max(h, n_s, k_enc)
+        unit = model.enc[s - 1]
+        if mode == "train":
+            # batch statistics need the whole stage: one block, one graph
+            enc_feats[s] = _encode_groups(unit, parent_pos, parent_feats, geo, slice(None),
+                                          mode, update_running)
+        else:
+            # an infer-mode unit maps each row on its own, so blocks of groups give the
+            # same bits; each block keeps only its (groups, d) max
+            n_s, k_enc = geo.enc_nbr.shape
+            step = max(1, _BLOCK_ELEMS // (k_enc * max(unit.w.data.shape)))
+            enc_feats[s] = ag.Tensor(np.concatenate([
+                _encode_groups(unit, parent_pos, parent_feats, geo, slice(lo, lo + step),
+                               mode, update_running).data
+                for lo in range(0, n_s, step)]))
         parent_pos, parent_feats = geo.positions, enc_feats[s]
 
     # ambiguity regressors: train-mode outputs for the loss, infer-mode

@@ -89,3 +89,15 @@ def test_block_trains_toward_target():
             if p.grad is not None:
                 p.data -= 0.1 * p.grad
     assert loss.item() < first
+
+
+def test_infer_mode_unit_output_keeps_no_graph():
+    rng = np.random.default_rng(4)
+    unit = LinearBN(5, 3, rng)
+    x = ag.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    train = unit(x, "train", update_running=False)
+    assert train._parents and train.requires_grad
+    for act in ("relu", "sigmoid"):
+        infer = unit(x, "infer", update_running=False, act=act)
+        assert infer._parents == () and infer._backward is None
+        assert not infer.requires_grad

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 from ambiseg import cli
 from ambiseg import io as aio
+from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.config import Config
-from oracles import eval_csv_text, predict_csv_text
+from ambiseg.margin import margin_map
+from oracles import ambiguity_csv_text, eval_csv_text, ply_text, predict_csv_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,6 +43,23 @@ def test_synth_and_ambiguity_pipeline(tmp_path):
     pos, colors = aio.read_ply(ply_path)
     assert pos.shape == (160, 3)
     assert colors.shape == (160, 3)
+
+
+def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
+    # One set of position strings feeds both files; each must stay the per-row
+    # oracle's bytes, and both are pinned to the separate writers' output.
+    cloud_path, csv_path, ply_path = tmp_path / "scene.txt", tmp_path / "a.csv", tmp_path / "a.ply"
+    assert run(["synth", "--kind", "planar-boundary", "--points-per-class", "400",
+                "--noise-sigma", "0.02", "--seed", "3", "--out", str(cloud_path)]) == 0
+    assert run(["ambiguity", "--in", str(cloud_path), "--out", str(csv_path),
+                "--ply", str(ply_path)]) == 0
+    cloud = aio.read_cloud(cloud_path)
+    amb = ambiguity_map(cloud, AefConfig(k=Config().k, beta=Config().beta)).values
+    margins = margin_map(amb, Config().mu, Config().nu)
+    assert csv_path.read_bytes() == ambiguity_csv_text(cloud, amb, margins).encode()
+    assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest().startswith("440fe190c594a720")
+    assert hashlib.sha256(ply_path.read_bytes()).hexdigest().startswith("1d5f0003070c552a")
 
 
 def test_bad_scene_kind_is_usage_error(tmp_path):

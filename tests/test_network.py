@@ -108,6 +108,50 @@ def test_forward_shapes_and_modes():
         forward(model, cloud, "test", unlabelled)
 
 
+def _infer_bytes(model, cloud, geometry) -> list[bytes]:
+    result = forward(model, cloud, "infer", geometry)
+    return [result.scores.data.tobytes()] + [
+        arr.tobytes() for s in sorted(result.pred_amb)
+        for arr in (result.pred_amb[s], result.stage_feats[s].data)]
+
+
+def test_infer_forward_does_not_depend_on_the_block_size(monkeypatch):
+    cloud = synth_scene(SceneSpec("two-rooms", points_per_class=120, noise_sigma=0.02, seed=5))
+    model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
+    train(model, [cloud], epochs=3)   # running statistics away from their (0, 1) start
+    geometry = build_geometry(cloud, SMALL, with_labels=False)
+    n_s, k_enc = geometry[0].enc_nbr.shape
+    per_group = k_enc * max(model.enc[0].w.data.shape)   # elements of one stage-1 group
+    assert n_s % 7 != 0
+    runs = {}
+    for name, elems in [("one group", 1), ("partial last block", 7 * per_group),
+                        ("one block", n_s * per_group)]:
+        monkeypatch.setattr(network, "_BLOCK_ELEMS", elems)
+        runs[name] = _infer_bytes(model, cloud, geometry)
+    assert runs["one group"] == runs["one block"]
+    assert runs["partial last block"] == runs["one block"]
+
+
+def test_infer_forward_memory_is_bounded_by_the_block(monkeypatch):
+    cloud = synth_scene(SceneSpec("two-rooms", points_per_class=700, noise_sigma=0.02, seed=1))
+    cfg = Config()
+    model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
+    geometry = build_geometry(cloud, cfg, with_labels=False)
+
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            forward(model, cloud, "infer", geometry)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak()
+    monkeypatch.setattr(network, "_BLOCK_ELEMS", 1 << 62)   # every stage in one block
+    single = peak()
+    assert blocked < single / 2, f"{blocked / 2**20:.1f} MB blocked, {single / 2**20:.1f} MB single"
+
+
 def test_regressor_input_is_position_first(monkeypatch):
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
