@@ -51,10 +51,12 @@ def cmd_ambiguity(args) -> int:
     cloud = _read_input(args)
     amb = ambiguity_map(cloud, AefConfig(k=min(cfg.k, cloud.n), beta=cfg.beta))
     margins = margin_map(amb.values, cfg.mu, cfg.nu)
-    coords = aio.format_columns(cloud.positions)   # formatted once for both files
-    aio.write_ambiguity_csv(args.out, cloud, amb.values, margins, coords)
+    # With --ply both files print the positions: format them once. The CSV alone is
+    # faster formatting its floats itself.
+    positions = aio.format_floats(cloud.positions) if args.ply else cloud.positions
+    aio.write_ambiguity_csv(args.out, positions, amb.values, margins)
     if args.ply:
-        aio.write_ply(args.ply, cloud.positions, amb.values, coords)
+        aio.write_ply(args.ply, positions, amb.values)
     print(f"wrote ambiguity for {cloud.n} points to {args.out}")
     return EXIT_OK
 

@@ -22,17 +22,18 @@ def fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def format_columns(values: np.ndarray) -> list[np.ndarray]:
-    """Each column of a 2-D float array as ``fmt``'s strings, for a caller that writes
-    the same columns to more than one table."""
-    return [np.array([FLOAT_FORMAT % v for v in col], dtype=object) for col in values.T.tolist()]
+def format_floats(values: np.ndarray) -> np.ndarray:
+    """A float array as an object array of ``fmt``'s strings, same shape, for a caller
+    that writes the same floats to more than one table."""
+    strings = [FLOAT_FORMAT % v for v in values.ravel().tolist()]
+    return np.array(strings, dtype=object).reshape(values.shape)
 
 
 def write_table(path: str | Path, header_lines: list[str], columns: list, sep: str) -> None:
     """Header lines, then one ``sep``-joined row per index of equal-length columns.
 
     Float columns print with ``fmt``'s rule and every other column, such as the
-    strings of ``format_columns``, with ``str``.
+    strings of ``format_floats``, with ``str``.
     """
     columns = [np.asarray(c) for c in columns]
     template = sep.join(FLOAT_FORMAT if c.dtype.kind == "f" else "%s" for c in columns)
@@ -115,20 +116,17 @@ def read_cloud(path: str | Path, num_classes: int | None = None) -> PointCloud:
     return PointCloud(positions, labels, num_classes, features)
 
 
-def write_ambiguity_csv(path: str | Path, cloud: PointCloud, ambiguities: np.ndarray,
-                        margins: np.ndarray, coords: list[np.ndarray] | None = None) -> None:
-    """One row per point; ``coords`` is ``format_columns(cloud.positions)`` when the
-    caller has it already."""
-    coords = format_columns(cloud.positions) if coords is None else coords
+def write_ambiguity_csv(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray,
+                        margins: np.ndarray) -> None:
+    """One row per point. ``positions`` is the (n, 3) floats or ``format_floats`` of them."""
     write_table(path, ["index,x,y,z,ambiguity,margin"],
-                [np.arange(cloud.n), *coords, ambiguities, margins], ",")
+                [np.arange(positions.shape[0]), *positions.T, ambiguities, margins], ",")
 
 
-def write_ply(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray,
-              coords: list[np.ndarray] | None = None) -> None:
+def write_ply(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray) -> None:
     """ASCII PLY coloured by ambiguity: c = round(255 a), half to even; (red, green,
-    blue) = (c, 0, 255 - c). ``coords`` is ``format_columns(positions)`` when the
-    caller has it already."""
+    blue) = (c, 0, 255 - c). ``positions`` is the (n, 3) floats or ``format_floats``
+    of them."""
     header = [
         "ply",
         "format ascii 1.0",
@@ -142,8 +140,7 @@ def write_ply(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray,
         "end_header",
     ]
     c = np.rint(255.0 * np.asarray(ambiguities, dtype=np.float64)).astype(np.int64)
-    coords = format_columns(positions) if coords is None else coords
-    write_table(path, header, [*coords, c, np.zeros_like(c), 255 - c], " ")
+    write_table(path, header, [*positions.T, c, np.zeros_like(c), 255 - c], " ")
 
 
 def read_ply(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

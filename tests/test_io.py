@@ -134,7 +134,7 @@ def test_ambiguity_csv(tmp_path):
     cloud = random_cloud(rng, n=3)
     amb = np.array([0.0, 0.5, 1.0])
     path = tmp_path / "amb.csv"
-    aio.write_ambiguity_csv(path, cloud, amb, 0.5 - amb)
+    aio.write_ambiguity_csv(path, cloud.positions, amb, 0.5 - amb)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,x,y,z,ambiguity,margin"
     assert len(lines) == 4
@@ -185,13 +185,18 @@ def test_writers_match_the_per_row_oracle_byte_for_byte(tmp_path, with_features)
     amb = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=cloud.n - 3)])
     margins = 0.5 - amb
     margins[:4] = -0.0, 0.0, -1e-300, 5e-324
-    aio.write_ambiguity_csv(path, cloud, amb, margins)
-    assert path.read_bytes() == ambiguity_csv_text(cloud, amb, margins).encode()
+    # the writers take the positions as floats or as their format_floats strings
+    formatted = aio.format_floats(cloud.positions)
+    assert formatted.shape == cloud.positions.shape
+    for positions in (cloud.positions, formatted):
+        aio.write_ambiguity_csv(path, positions, amb, margins)
+        assert path.read_bytes() == ambiguity_csv_text(cloud, amb, margins).encode()
     # colour rounding at the half-way points (c + 0.5) / 255
     amb = np.concatenate([(np.arange(255) + 0.5) / 255, [0.0, 1.0], rng.uniform(size=43)])
     assert np.sum(255.0 * amb % 1.0 == 0.5) > 100
-    aio.write_ply(path, cloud.positions, amb)
-    assert path.read_bytes() == ply_text(cloud.positions, amb).encode()
+    for positions in (cloud.positions, formatted):
+        aio.write_ply(path, positions, amb)
+        assert path.read_bytes() == ply_text(cloud.positions, amb).encode()
 
 
 def test_read_ply_rejects_other_files(tmp_path):
