@@ -10,10 +10,9 @@ from scipy.spatial import cKDTree
 # knn_query always takes its candidates from a kd-tree. Nothing in the library
 # reads this; it stays 0 for scripts that record it.
 KDTREE_CUTOFF = 0
-# Extra candidates per query beyond k (first tier) and beyond 2k (second tier).
-# Rows whose k-th distance ties the candidate boundary go to the wider second
-# query, so the first can stay narrow; only rows still tied there reach the
-# ball query.
+# Extra candidates per query beyond its width (k, then 2k, 4k, ...). Rows
+# whose k-th distance ties the candidate boundary are queried again at twice
+# the width, so the first query can stay narrow.
 _KNN_SLACK = 4
 # Candidate entries per block of query rows: a block's (rows, candidates)
 # index and distance arrays stay at 256 KB each, whatever the query count.
@@ -57,6 +56,13 @@ class PointCloud:
             raise ValueError("labels must lie in [0, num_classes)")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite (found NaN or inf)")
+        # Rounding is monotone, so the bounding box's squared diagonal bounds
+        # every pairwise sq_dists. Past it, kd-tree distances overflow and
+        # queries return the missing-neighbour index n.
+        with np.errstate(over="ignore"):
+            diag2 = sq_dists(pos.max(axis=0), pos.min(axis=0))
+        if not np.isfinite(diag2):
+            raise ValueError("positions are too far apart: squared distances overflow")
         object.__setattr__(self, "positions", _readonly(pos))
         object.__setattr__(self, "labels", _readonly(lab))
         if self.features is not None:
@@ -142,13 +148,12 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """(m, k) indices of the k nearest ``ref`` rows to each query row.
 
     Ranks by (squared distance from ``sq_dists``, index): ties go to the lower
-    index. Three exact tiers, each in bounded blocks of rows:
-
-    1. every row takes ``k + _KNN_SLACK`` kd-tree candidates, whose distances
-       are recomputed by the library rule and re-ranked;
-    2. a row whose k-th candidate may tie a point outside them is queried
-       again, the same way, with ``2k + _KNN_SLACK`` candidates;
-    3. a row still unsettled after that is settled from a ball query.
+    index. Every row takes ``k + _KNN_SLACK`` kd-tree candidates, whose
+    distances are recomputed by the library rule and re-ranked. A row whose
+    k-th candidate may tie a point outside them is queried again the same way
+    at widths 2k, 4k, ... (each plus the slack) until it is settled or its
+    candidates are all n points. Each query runs in blocks of rows holding
+    about ``_BLOCK_ELEMS`` candidates.
     """
     ref = np.asarray(ref, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -156,41 +161,20 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"K={k} must satisfy 1 <= K <= n={n}")
     out = np.empty((m, k), dtype=np.int64)
-    if m == 0:
-        return out
     tree = cKDTree(ref)
     cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
-    kc = min(k + _KNN_SLACK, n)
-    block = max(1, _BLOCK_ELEMS // kc)
-    retry = []
-    for lo in range(0, m, block):
-        cand, cd2 = _ranked_candidates(tree, cols, queries[lo:lo + block], kc)
-        out[lo:lo + cand.shape[0]] = cand[:, :k]
-        if kc < n:
-            retry.append(lo + _unsettled(cd2, k))
-    if not retry:
-        return out
-    rows = np.concatenate(retry)
-    kc = min(2 * k + _KNN_SLACK, n)
-    block = max(1, _BLOCK_ELEMS // kc)
-    for lo in range(0, rows.size, block):
-        r = rows[lo:lo + block]
-        q = queries[r]
-        cand, cd2 = _ranked_candidates(tree, cols, q, kc)
-        out[r] = cand[:, :k]
-        if kc == n:
-            continue
-        unsettled = _unsettled(cd2, k)
-        if unsettled.size == 0:
-            continue
-        # Inflate the radius slightly so boundary ties survive metric rounding,
-        # then re-rank the ball with the exact rule.
-        radii = np.sqrt(cd2[unsettled, k - 1]) * (1 + 1e-9) + 1e-300
-        balls = tree.query_ball_point(q[unsettled], radii)
-        for i, ball in zip(unsettled, balls):
-            ball = np.asarray(ball, dtype=np.int64)
-            d2 = sq_dists(ref[ball], q[i])
-            out[r[i]] = ball[np.lexsort((ball, d2))][:k]
+    rows, width = np.arange(m), k
+    while rows.size:
+        kc = min(width + _KNN_SLACK, n)
+        block = max(1, _BLOCK_ELEMS // kc)
+        retry = [rows[:0]]
+        for lo in range(0, rows.size, block):
+            r = rows[lo:lo + block]
+            cand, cd2 = _ranked_candidates(tree, cols, queries[r], kc)
+            out[r] = cand[:, :k]
+            if kc < n:
+                retry.append(r[_unsettled(cd2, k)])
+        rows, width = np.concatenate(retry), 2 * width
     return out
 
 

@@ -305,3 +305,21 @@ def test_one_point_cloud_exits_1_naming_the_point_count(tmp_path, capsys, comman
     assert run([command, "--in", str(two), "--out", str(tmp_path / "o2")] + extra) \
         == cli.EXIT_OK
     assert (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("command", ["ambiguity", "predict"])
+def test_overflowing_squared_distances_exit_1_with_one_line(tmp_path, capsys, command):
+    extra = ["--checkpoint", str(FROZEN_CKPT)] if command == "predict" else []
+    far, wide = tmp_path / "far.txt", tmp_path / "wide.txt"
+    far.write_text("1e160 0 0 0\n0 0 0 0\n0 1 0 1\n0 0 1 1\n1 1 1 0\n")
+    wide.write_text("1e150 1e150 -1e150 0\n-1e150 1e150 1e150 1\n1e150 -1e150 1e150 0\n"
+                    "-1e150 -1e150 -1e150 1\n0 0 0 0\n1e150 1e150 1e150 1\n")
+    capsys.readouterr()
+    assert run([command, "--in", str(far), "--out", str(tmp_path / "o1")] + extra) \
+        == cli.EXIT_USAGE
+    err = _one_error_line(capsys)
+    assert "squared distances overflow" in err and "Traceback" not in err
+    assert not (tmp_path / "o1").exists()
+    assert run([command, "--in", str(wide), "--out", str(tmp_path / "o2")] + extra) \
+        == cli.EXIT_OK
+    assert (tmp_path / "o2").exists()

@@ -51,6 +51,19 @@ def test_pointcloud_rejects_non_finite_values(bad):
         PointCloud(np.zeros((3, 3)), np.zeros(3, dtype=int), 1, features=feat)
 
 
+def test_pointcloud_rejects_positions_whose_squared_distances_overflow():
+    # Past about 1.3e154 apart the kd-tree reports no neighbour at all.
+    far = np.zeros((5, 3))
+    far[0, 0] = 1e160
+    with pytest.raises(ValueError, match="squared distances overflow"):
+        PointCloud(far, np.zeros(5, dtype=int), 1)
+    # at +-1e150 the bounding box's squared diagonal, about 1.2e301, is finite
+    wide = np.random.default_rng(3).choice([-1e150, 0.0, 1e150], size=(40, 3))
+    cloud = PointCloud(wide, np.zeros(40, dtype=int), 1)
+    np.testing.assert_array_equal(knn_all(cloud.positions, 6),
+                                  knn_oracle(cloud.positions, cloud.positions, 6))
+
+
 def test_pointcloud_arrays_are_readonly():
     c = PointCloud(np.zeros((4, 3)), np.zeros(4, dtype=int), 1)
     with pytest.raises(ValueError):
@@ -113,39 +126,30 @@ def knn_oracle(ref, queries, k):
 
 
 def record_tree_calls(monkeypatch):
-    """Record knn_query's tree calls: ("query", candidates, rows) or ("ball", rows)."""
+    """Record knn_query's tree queries as (candidates, rows) pairs."""
     calls = []
 
     class RecordingTree(cl.cKDTree):
         def query(self, x, k=1, *args, **kwargs):
-            calls.append(("query", k, len(x)))
+            calls.append((k, len(x)))
             return super().query(x, k, *args, **kwargs)
-
-        def query_ball_point(self, x, r, *args, **kwargs):
-            calls.append(("ball", len(x)))
-            return super().query_ball_point(x, r, *args, **kwargs)
 
     monkeypatch.setattr(cl, "cKDTree", RecordingTree)
     return calls
 
 
-def tier_rows(calls):
-    """Rows of one knn_query call at each tier: first query, second query, ball query.
-
-    The second query asks for more candidates than the first, and every first
-    query comes before it.
-    """
-    first_k = calls[0][1]
-    rows = {"first": 0, "second": 0, "ball": 0}
-    for call in calls:
-        tier = "ball" if call[0] == "ball" else "first" if call[1] == first_k else "second"
-        rows[tier] += call[-1]
+def width_rows(calls):
+    """Rows of one knn_query call queried at each width, keyed by its candidate
+    count; the widths come in the order they were queried."""
+    rows = {}
+    for kc, m in calls:
+        rows[kc] = rows.get(kc, 0) + m
     return rows
 
 
 def duplicate_heavy_cloud():
     """200 normal points and 60 more copies of one of them: rows near the copies
-    stay tied past the second query's 2k + slack candidates at k = 20."""
+    stay tied past the second width's 2k + slack candidates at k = 20."""
     pos = np.random.default_rng(8).normal(size=(200, 3))
     return np.vstack([pos[:130], np.repeat(pos[130:131], 60, axis=0), pos[130:]])
 
@@ -161,29 +165,32 @@ def test_knn_query_matches_oracle():
 
 
 def test_knn_query_lattice_ties_take_the_exact_fallback(monkeypatch):
-    # On the lattice, rows tied at the first query's candidate boundary are
-    # settled by the wider second query; none is left for the ball query.
+    # On the lattice, rows tied at the first width's candidate boundary are
+    # all settled by the second width.
     calls = record_tree_calls(monkeypatch)
     pos = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
+    slack = cl._KNN_SLACK
     for k in (8, 24):
         calls.clear()
         np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
-        rows = tier_rows(calls)
-        assert rows["first"] == 600 and rows["second"] > 0 and rows["ball"] == 0, (k, rows)
+        rows = width_rows(calls)
+        assert list(rows) == [k + slack, 2 * k + slack], (k, rows)
+        assert rows[k + slack] == 600 and rows[2 * k + slack] > 0, (k, rows)
 
 
-def test_knn_query_duplicate_heavy_rows_take_the_ball_query(monkeypatch):
+def test_knn_query_duplicate_heavy_rows_reach_a_third_width(monkeypatch):
     calls = record_tree_calls(monkeypatch)
     pos = duplicate_heavy_cloud()
     np.testing.assert_array_equal(knn_query(pos, pos, 20), knn_oracle(pos, pos, 20))
-    rows = tier_rows(calls)
+    rows = width_rows(calls)
+    assert list(rows) == [24, 44, 84], rows
     # the 61 copies, plus normal points whose 20th neighbour is among them
-    assert rows["ball"] > 61, rows
+    assert rows[84] > 61, rows
 
 
 def test_knn_query_property_on_integer_grids(monkeypatch):
     calls = record_tree_calls(monkeypatch)
-    paths = set()
+    widths, took_every_point = set(), []
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 400), extent=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
@@ -197,29 +204,31 @@ def test_knn_query_property_on_integer_grids(monkeypatch):
         k = 1 + int(k_frac ** 2 * (n - 1))
         calls.clear()
         np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
-        rows = tier_rows(calls)
-        paths.add("ball" if rows["ball"] else "second" if rows["second"] else "first only")
+        rows = width_rows(calls)
+        widths.add(min(len(rows), 3))
+        if len(rows) > 1 and max(rows) == n:
+            took_every_point.append((n, k))
 
     check()
-    assert paths == {"first only", "second", "ball"}
+    assert widths == {1, 2, 3}
+    # some rows were widened until their candidates were the whole cloud
+    assert took_every_point
 
 
 def test_knn_query_blocks_keep_their_row_offsets(monkeypatch):
-    # Blocks of a few rows split each tier into many tree calls; the second
-    # query and the ball query must write back to the rows of their own block.
+    # Blocks of a few rows split every width into many tree calls; each must
+    # write back to the rows of its own block.
     monkeypatch.setattr(cl, "_BLOCK_ELEMS", 64)
     calls = record_tree_calls(monkeypatch)
     lattice = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
     for pos, k in ((lattice, 8), (lattice, 24), (duplicate_heavy_cloud(), 20)):
         calls.clear()
         np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
-        first_blocks = [c for c in calls if c[:2] == ("query", k + cl._KNN_SLACK)]
-        second_blocks = [c for c in calls if c[:2] == ("query", 2 * k + cl._KNN_SLACK)]
-        assert len(first_blocks) >= len(pos) // (64 // (k + cl._KNN_SLACK))
-        assert max(c[2] for c in second_blocks) <= 64 // (2 * k + cl._KNN_SLACK)
-        assert len(second_blocks) > 1
-    # on the duplicate-heavy cloud, ball queries come from several second-query blocks
-    assert sum(c[0] == "ball" for c in calls) > 1
+        widths = list(width_rows(calls))
+        assert len(widths) >= 2, widths
+        for kc in widths:
+            blocks = [m for c, m in calls if c == kc]
+            assert len(blocks) > 1 and max(blocks) <= max(1, 64 // kc), (kc, blocks)
 
 
 def test_knn_all_memory_stays_bounded_by_blocks():
@@ -233,6 +242,24 @@ def test_knn_all_memory_stays_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, f"knn_all peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_knn_all_memory_stays_bounded_on_a_large_duplicate_cluster():
+    # 2,000 copies of one point: their rows widen until the candidates hold
+    # the cluster, still in bounded blocks. A radius query per row would hold
+    # the whole cluster for each of them at once, about 99 MiB.
+    rng = np.random.default_rng(4)
+    pos = rng.normal(size=(10_000, 3))
+    pos[3000:5000] = pos[3000]
+    tracemalloc.start()
+    try:
+        nb = knn_all(pos, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"knn_all peaked at {peak / 2**20:.1f} MiB"
+    rows = np.r_[2990:3010, 4990:5010, rng.choice(10_000, 40, replace=False)]
+    np.testing.assert_array_equal(nb[rows], knn_oracle(pos, pos[rows], 24))
 
 
 def test_build_geometry_upsampling_follows_the_tie_rule_on_a_lattice():

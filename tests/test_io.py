@@ -1,3 +1,4 @@
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,9 @@ def test_read_cloud_edge_cases_keep_the_per_line_result(tmp_path, text, expected
         np.testing.assert_array_equal(cloud.labels, labels)
 
 
+Parsed = namedtuple("Parsed", "positions labels num_classes features")
+
+
 def test_read_cloud_matches_the_per_line_parser_bit_for_bit(tmp_path, monkeypatch):
     # Every file here is one the one-call reader must take: the per-line parser
     # gives the reference arrays first, then is replaced by a tripwire.
@@ -93,6 +97,7 @@ def test_read_cloud_matches_the_per_line_parser_bit_for_bit(tmp_path, monkeypatc
         raise AssertionError("read_cloud fell back to the per-line parser")
 
     floats = st.floats(allow_nan=False, allow_infinity=False)
+    rejected = []
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(rows=st.integers(1, 20).flatmap(lambda n: st.lists(
@@ -116,8 +121,18 @@ def test_read_cloud_matches_the_per_line_parser_bit_for_bit(tmp_path, monkeypatc
         path = tmp_path / "cloud.txt"
         path.write_bytes(newline.join(lines).encode() + newline.encode())
         want_values, want_labels = reference(path.read_text().splitlines())
+        pos = want_values[:, :3]
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(np.sum((pos.max(axis=0) - pos.min(axis=0)) ** 2))
         with monkeypatch.context() as m:
             m.setattr(aio, "_parse_rows", tripwire)
+            if overflows:
+                with pytest.raises(ValueError, match="squared distances overflow"):
+                    aio.read_cloud(path, num_classes=41)
+                rejected.append(rows)
+                # the container rejects these positions; compare the arrays the
+                # one-call reader hands it
+                m.setattr(aio, "PointCloud", Parsed)
             cloud = aio.read_cloud(path, num_classes=41)
         assert cloud.positions.tobytes() == np.ascontiguousarray(want_values[:, :3]).tobytes()
         if columns == 3:
@@ -127,6 +142,7 @@ def test_read_cloud_matches_the_per_line_parser_bit_for_bit(tmp_path, monkeypatc
         assert cloud.labels.tobytes() == want_labels.tobytes()
 
     check()
+    assert rejected
 
 
 def test_ambiguity_csv(tmp_path):
