@@ -6,6 +6,12 @@ batch_norm, cross_entropy, contrast_loss and mae. Every graph node in the
 library comes from one of them. No operator overloading and no general
 broadcasting.
 
+``neighborhood_max`` is the whole set-abstraction encoder unit: affine, batch
+norm, ReLU and the max over each group of k neighbour rows, as one node that
+keeps one (rows, d) array for its backward. It is bit-identical to that chain of
+four nodes, whose affine and batch-norm code it shares, and it keeps the name of
+the group max it absorbed, the one step of the chain that only the encoder uses.
+
 Ownership rule: a backward closure hands ``_accum`` an array it owns, never
 ``g`` itself or a view of it. The first ``_accum`` on a node keeps that array
 as the node's ``.grad`` without copying, and later ones add into it in place.
@@ -101,23 +107,35 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data * c, parents=(x,), backward=bwd)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for a (n, d_in) batch."""
+def _affine_forward(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w.T + b for a (n, d_in) batch, as a new array."""
     xd = x.data
     if xd.ndim != 2 or w.data.ndim != 2 or xd.shape[1] != w.data.shape[1]:
         raise ValueError(f"affine shape mismatch x{xd.shape} w{w.data.shape}")
     if b.data.shape != (w.data.shape[0],):
         raise ValueError(f"affine bias shape {b.data.shape} != ({w.data.shape[0]},)")
+    out = xd @ w.data.T
+    out += b.data
+    return out
+
+
+def _affine_backward(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
+    if x.requires_grad:
+        x._accum(g @ w.data)
+    if w.requires_grad:
+        w._accum(g.T @ x.data)
+    if b.requires_grad:
+        b._accum(g.sum(axis=0))
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b for a (n, d_in) batch."""
+    out = _affine_forward(x, w, b)
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g @ w.data)
-        if w.requires_grad:
-            w._accum(g.T @ xd)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0))
+        _affine_backward(g, x, w, b)
 
-    return Tensor(xd @ w.data.T + b.data, parents=(x, w, b), backward=bwd)
+    return Tensor(out, parents=(x, w, b), backward=bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -184,21 +202,6 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(x.data[idx], parents=(x,), backward=bwd)
 
 
-def neighborhood_max(x: Tensor, groups: int, k: int) -> Tensor:
-    """Max over each group of k consecutive rows: (groups*k, d) -> (groups, d)."""
-    xd = x.data.reshape(groups, k, -1)
-    arg = np.argmax(xd, axis=1)
-    out = np.take_along_axis(xd, arg[:, None, :], axis=1)[:, 0, :]
-
-    def bwd(g):
-        if x.requires_grad:
-            acc = np.zeros_like(xd)
-            np.put_along_axis(acc, arg[:, None, :], g[:, None, :], axis=1)
-            x._accum(acc.reshape(x.data.shape))
-
-    return Tensor(out, parents=(x,), backward=bwd)
-
-
 # Batch-norm variance offset and running-statistics momentum.
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -212,19 +215,18 @@ class BatchNormState:
     running_var: np.ndarray
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               mode: str = "train", update_running: bool = True) -> Tensor:
-    """Batch normalization over axis 0 with learnable scale/shift.
+def _bn_forward(xd: np.ndarray, xhat: np.ndarray, gamma: Tensor, beta: Tensor,
+                state: BatchNormState, mode: str, update_running: bool):
+    """Batch-norm statistics of ``xd`` and its output.
 
-    Train mode uses (clamped) batch statistics and blends them into the running
-    stats; infer mode is a pure affine map from the running stats.
+    Writes the normalised input into ``xhat``, which may be ``xd`` itself, and
+    returns 1 / sqrt(var + BN_EPS) and the output gamma * xhat + beta as a new array.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    xd = x.data
     if mode == "train":
         mean = xd.mean(axis=0)
-        xhat = xd - mean
+        np.subtract(xd, mean, out=xhat)
         # np.var's float sequence: the mean of the squared deviations
         out = np.multiply(xhat, xhat)
         var = out.sum(axis=0) / xd.shape[0]
@@ -233,29 +235,84 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
     else:
         var = state.running_var
-        xhat = xd - state.running_mean
+        np.subtract(xd, state.running_mean, out=xhat)
         out = np.empty_like(xd)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out)
     out += beta.data
+    return inv, out
+
+
+def _bn_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor,
+                 beta: Tensor, mode: str, input_grad: bool) -> np.ndarray | None:
+    """Accumulate the gradients of gamma and beta; return the input's when asked."""
+    buf = np.empty_like(g)
+    if gamma.requires_grad:
+        gamma._accum(np.multiply(g, xhat, out=buf).sum(axis=0))
+    if beta.requires_grad:
+        beta._accum(np.sum(g, axis=0))
+    if not input_grad:
+        return None
+    gx = g * gamma.data
+    if mode == "train":
+        proj = np.multiply(gx, xhat, out=buf).mean(axis=0)
+        gx -= gx.mean(axis=0)
+        gx -= np.multiply(xhat, proj, out=buf)
+    gx *= inv
+    return gx
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+               mode: str = "train", update_running: bool = True) -> Tensor:
+    """Batch normalization over axis 0 with learnable scale/shift.
+
+    Train mode uses (clamped) batch statistics and blends them into the running
+    stats; infer mode is a pure affine map from the running stats.
+    """
+    xhat = np.empty_like(x.data)
+    inv, out = _bn_forward(x.data, xhat, gamma, beta, state, mode, update_running)
 
     def bwd(g):
-        buf = np.empty_like(g)
-        if gamma.requires_grad:
-            gamma._accum(np.multiply(g, xhat, out=buf).sum(axis=0))
-        if beta.requires_grad:
-            beta._accum(np.sum(g, axis=0))
-        if x.requires_grad:
-            gx = g * gamma.data
-            if mode == "train":
-                proj = np.multiply(gx, xhat, out=buf).mean(axis=0)
-                gx -= gx.mean(axis=0)
-                gx -= np.multiply(xhat, proj, out=buf)
-            gx *= inv
+        gx = _bn_backward(g, xhat, inv, gamma, beta, mode, x.requires_grad)
+        if gx is not None:
             x._accum(gx)
 
     return Tensor(out, parents=(x, gamma, beta), backward=bwd)
+
+
+def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+                     state: BatchNormState, groups: int, k: int, mode: str = "train",
+                     update_running: bool = True) -> Tensor:
+    """One set-abstraction unit: affine, batch norm and ReLU over each group of k
+    consecutive rows, then the max over the group: (groups*k, d_in) -> (groups, d).
+
+    Bit for bit the chain ``relu(batch_norm(affine(x, w, b), ...))`` followed by a
+    max over each group, with its gradients. It normalises the affine output in
+    place and keeps only that one (rows, d) array, the picked rows and their ReLU
+    mask for the backward.
+    """
+    xhat = _affine_forward(x, w, b)
+    inv, y = _bn_forward(xhat, xhat, gamma, beta, state, mode, update_running)
+    y = y.reshape(groups, k, -1)
+    # The ReLU output's argmax: the pre-activation argmax where that maximum is
+    # positive, else row 0, since argmax over a group of +-0 picks its first row.
+    arg = np.argmax(y, axis=1)
+    top = np.take_along_axis(y, arg[:, None, :], axis=1)[:, 0, :]
+    arg[top <= 0] = 0
+    sel = np.take_along_axis(y, arg[:, None, :], axis=1)[:, 0, :]
+    mask = sel > 0
+
+    def bwd(g):
+        gy = np.zeros((groups, k, xhat.shape[1]))
+        np.put_along_axis(gy, arg[:, None, :], (g * mask)[:, None, :], axis=1)
+        gz = _bn_backward(gy.reshape(xhat.shape), xhat, inv, gamma, beta, mode,
+                          x.requires_grad or w.requires_grad or b.requires_grad)
+        del gy
+        if gz is not None:
+            _affine_backward(gz, x, w, b)
+
+    return Tensor(sel * mask, parents=(x, w, b, gamma, beta), backward=bwd)
 
 
 def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:

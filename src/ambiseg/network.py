@@ -1,7 +1,9 @@
 """Simplified set-abstraction encoder-decoder with the joint training objective.
 
 Encoder stages downsample by farthest point sampling and aggregate neighbor
-features with a shared MLP + max pool; decoder stages upsample by 3-NN
+features with a shared MLP + max pool: one ``ag.neighborhood_max`` node (affine,
+batch norm, ReLU, then the max over each point's K rows) per stage in train mode,
+one per block of groups in infer mode. Decoder stages upsample by 3-NN
 inverse-squared-distance interpolation, the three nearest coarse points chosen
 by the (squared distance, index) rule of ``cloud.knn_query``, and fuse skip
 features. Contrastive, regression, and cross-entropy objectives combine into
@@ -154,12 +156,13 @@ class ForwardResult:
 def _encode_groups(unit: LinearBN, parent_pos: np.ndarray, parent_feats: ag.Tensor,
                    geo: StageGeometry, groups: slice, mode: str,
                    update_running: bool) -> ag.Tensor:
-    """Shared MLP over the neighbour rows of the stage points ``groups``, then the
-    max over each point's rows: (groups, d)."""
+    """The encoder unit over the neighbour rows of the stage points ``groups``, then
+    the max over each point's rows: (groups, d), one ``neighborhood_max`` node."""
     nbr = geo.enc_nbr[groups]
     rel = (parent_pos[nbr] - geo.positions[groups, None, :]).reshape(-1, 3)
     inp = ag.concat_cols([ag.Tensor(rel), ag.gather_rows(parent_feats, nbr.ravel())])
-    return ag.neighborhood_max(unit(inp, mode, update_running), *nbr.shape)
+    return ag.neighborhood_max(inp, unit.w, unit.b, unit.gamma, unit.beta, unit.bn,
+                               *nbr.shape, mode, update_running)
 
 
 def forward(model: SegModel, cloud: PointCloud, mode: str, geometry: list[StageGeometry],

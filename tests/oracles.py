@@ -5,7 +5,9 @@ the ambiguity bins vectorised over whole stages; the scalar formulas here
 restate them one point at a time so tests can compare the two. ``planar_lattice``
 is the same for the planar-boundary scene's lattice, and the ``*_text`` writers
 and ``ambiguity_color`` for the per-point text outputs. ``tsum`` and ``mul`` give
-gradient tests a scalar objective without adding primitives to ``ambiseg.autograd``.
+gradient tests a scalar objective without adding primitives to ``ambiseg.autograd``;
+``group_max`` and ``encoder_chain`` restate ``ag.neighborhood_max`` as the unfused
+affine -> batch norm -> ReLU -> max chain of graph nodes.
 """
 import math
 
@@ -36,6 +38,27 @@ def mul(a: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
             b._accum(g * a.data)
 
     return ag.Tensor(a.data * b.data, parents=(a, b), backward=bwd)
+
+
+def group_max(x: ag.Tensor, groups: int, k: int) -> ag.Tensor:
+    """Max over each group of k consecutive rows as a graph node: (groups*k, d) -> (groups, d)."""
+    xd = x.data.reshape(groups, k, -1)
+    arg = np.argmax(xd, axis=1)
+    out = np.take_along_axis(xd, arg[:, None, :], axis=1)[:, 0, :]
+
+    def bwd(g):
+        if x.requires_grad:
+            acc = np.zeros_like(xd)
+            np.put_along_axis(acc, arg[:, None, :], g[:, None, :], axis=1)
+            x._accum(acc.reshape(x.data.shape))
+
+    return ag.Tensor(out, parents=(x,), backward=bwd)
+
+
+def encoder_chain(x, w, b, gamma, beta, state, groups, k, mode="train", update_running=True):
+    """``ag.neighborhood_max`` as four graph nodes: affine, batch norm, ReLU, group max."""
+    z = ag.batch_norm(ag.affine(x, w, b), gamma, beta, state, mode, update_running)
+    return group_max(ag.relu(z), groups, k)
 
 
 def partition(positions, labels, anchor, k):

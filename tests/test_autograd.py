@@ -5,7 +5,7 @@ import pytest
 
 from ambiseg import autograd as ag
 from ambiseg import gradcheck
-from oracles import mul, tsum
+from oracles import encoder_chain, mul, tsum
 
 
 def check(f, params):
@@ -79,12 +79,64 @@ def test_concat_and_gather():
     np.testing.assert_array_equal(ag.gather_rows(a, idx).data, a.data[idx])
 
 
+def _encoder_params(rng, d_in=3, d=4):
+    w = ag.Tensor(rng.normal(size=(d, d_in)), requires_grad=True)
+    b = ag.Tensor(rng.normal(size=d), requires_grad=True)
+    gamma = ag.Tensor(rng.uniform(0.5, 1.5, size=d), requires_grad=True)
+    beta = ag.Tensor(rng.normal(size=d) * 0.1, requires_grad=True)
+    return w, b, gamma, beta
+
+
 def test_neighborhood_max():
     rng = np.random.default_rng(4)
     x = ag.Tensor(rng.normal(size=(12, 3)), requires_grad=True)
-    out = ag.neighborhood_max(x, groups=4, k=3)
-    np.testing.assert_array_equal(out.data, x.data.reshape(4, 3, 3).max(axis=1))
-    assert check(lambda: tsum(ag.neighborhood_max(x, 4, 3)), [x]) <= 1e-8
+    w, b, gamma, beta = _encoder_params(rng)
+    params = [x, w, b, gamma, beta]
+    for mode in ("train", "infer"):
+        state = ag.BatchNormState(running_mean=rng.normal(size=4) * 0.1,
+                                  running_var=rng.uniform(0.5, 2.0, size=4))
+        out = ag.neighborhood_max(x, w, b, gamma, beta, state, 4, 3, mode, False)
+        z = x.data @ w.data.T + b.data
+        mean, var = ((z.mean(axis=0), z.var(axis=0)) if mode == "train"
+                     else (state.running_mean, state.running_var))
+        y = np.maximum((z - mean) / np.sqrt(var + ag.BN_EPS) * gamma.data + beta.data, 0.0)
+        np.testing.assert_allclose(out.data, y.reshape(4, 3, 4).max(axis=1), atol=1e-12)
+        assert check(lambda: tsum(ag.neighborhood_max(x, w, b, gamma, beta, state, 4, 3,
+                                                      mode, False)), params) <= 1e-7
+
+
+def _node_bytes(node_fn, x_grad: bool, mode: str) -> list[bytes]:
+    """Output, running statistics and gradients of one encoder node, as bytes."""
+    rng = np.random.default_rng(11)
+    groups, k, d = 6, 4, 5
+    xd = rng.normal(size=(groups * k, 3))
+    # column 0 sums to exactly 0, so channel 4 below normalises it to exact zeros
+    # and negatives: group 0's largest pre-activation is +0, at row 1, and row 0's
+    # is negative
+    xd[:, 0] = [-1, 0, 0, -1, 1, 1, 1, 1, -1, 0, -1, -1, 1, -1, 0, 1, -1, -1, 0, 0, 0, 1, 1, 0]
+    xd[1] = xd[2]                  # two tied rows in group 0
+    xd[k + 1:2 * k] = xd[k]        # group 1: every row tied
+    x = ag.Tensor(xd, requires_grad=x_grad)
+    w, b, gamma, beta = _encoder_params(rng, d=d)
+    gamma.data[1] = -gamma.data[1]          # negative scale
+    beta.data[2] = -50.0                    # every pre-activation of channel 2 below 0
+    gamma.data[3], beta.data[3] = 0.0, -0.0  # channel 3: pre-activations of both zero signs
+    w.data[4], b.data[4], beta.data[4] = [1.0, 0.0, 0.0], 0.0, 0.0
+    state = ag.BatchNormState(running_mean=rng.normal(size=d), running_var=rng.uniform(0.5, 2, d))
+    state.running_mean[4] = 0.0
+    out = node_fn(x, w, b, gamma, beta, state, groups, k, mode, True)
+    ag.backward(tsum(mul(out, ag.Tensor(rng.normal(size=(groups, d))))))
+    grads = [x.grad] if x_grad else []
+    assert (x.grad is None) != x_grad
+    return [a.tobytes() for a in [out.data, state.running_mean, state.running_var,
+                                  w.grad, b.grad, gamma.grad, beta.grad] + grads]
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_neighborhood_max_is_bit_identical_to_the_unfused_chain(mode, x_grad):
+    assert _node_bytes(ag.neighborhood_max, x_grad, mode) == \
+        _node_bytes(encoder_chain, x_grad, mode)
 
 
 def test_batch_norm_train_gradients_and_running_stats():

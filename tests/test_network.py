@@ -152,6 +152,23 @@ def test_infer_forward_memory_is_bounded_by_the_block(monkeypatch):
     assert blocked < single / 2, f"{blocked / 2**20:.1f} MB blocked, {single / 2**20:.1f} MB single"
 
 
+def test_train_step_memory_keeps_one_array_per_encoder_unit():
+    # Each encoder node keeps its normalised (rows, d) array for the backward, not
+    # the affine, batch-norm, ReLU and group-max arrays of the unfused chain.
+    cloud = synth_scene(SceneSpec("two-rooms", points_per_class=1000, noise_sigma=0.02, seed=0))
+    cfg = Config()
+    model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
+    geometry = build_geometry(cloud, cfg, with_labels=True)
+    tracemalloc.start()
+    try:
+        total, _ = loss_joint(model, forward(model, cloud, "train", geometry), cloud.labels)
+        ag.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, f"one train step peaked at {peak / 2**20:.1f} MiB"
+
+
 def test_regressor_input_is_position_first(monkeypatch):
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
@@ -211,20 +228,20 @@ def _train_graph(cfg: Config) -> Counter:
     return counts
 
 
-TRAIN_GRAPH = {"add": 4, "affine": 17, "batch_norm": 16, "concat_cols": 4, "contrast_loss": 2,
+TRAIN_GRAPH = {"add": 4, "affine": 15, "batch_norm": 14, "concat_cols": 4, "contrast_loss": 2,
                "cross_entropy": 1, "gather_rows": 2, "mae": 2, "neighborhood_max": 2,
-               "relu": 4, "scale": 5, "sigmoid": 12, "weighted_rows": 2}
+               "relu": 2, "scale": 5, "sigmoid": 12, "weighted_rows": 2}
 
 
 def test_train_step_graph_is_pinned():
     # The detached infer-mode regressor adds nodes the loss never reaches.
     counts = _train_graph(Config())
     assert dict(counts) == TRAIN_GRAPH
-    assert sum(counts.values()) == 73
+    assert sum(counts.values()) == 67
     # epsilon_lo = 0 puts every point in the refinement band: one blend per stage
     refined = _train_graph(Config(epsilon_lo=0.0))
     assert dict(refined) == TRAIN_GRAPH | {"weighted_rows": 4}
-    assert sum(refined.values()) == 75
+    assert sum(refined.values()) == 69
 
 
 def test_training_reduces_loss_and_is_deterministic():
