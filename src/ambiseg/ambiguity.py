@@ -26,14 +26,6 @@ class AefConfig:
     beta: float = 0.04
     dup_epsilon: float = 1e-9
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("K must be >= 2")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if not 0 < self.dup_epsilon <= 1e-6:
-            raise ValueError("dup_epsilon must lie in (0, 1e-6]")
-
 
 @dataclass(frozen=True)
 class AmbiguityMap:
@@ -58,12 +50,8 @@ def ambiguity_map(cloud: PointCloud, cfg: AefConfig,
     closeness sums run in numpy, and each mixed point's sigmoid runs in
     ``_inverse_sigmoid``.
     """
-    if cfg.k > cloud.n:
-        raise ValueError(f"K={cfg.k} exceeds point count {cloud.n}")
     if nbrs is None:
         nbrs = knn_all(cloud.positions, cfg.k)
-    elif nbrs.shape != (cloud.n, cfg.k):
-        raise ValueError(f"neighbour matrix {nbrs.shape} != ({cloud.n}, {cfg.k})")
     # One (n, K, 3) array: the gathered neighbours, turned in place into squared
     # differences and summed as (dx^2 + dy^2) + dz^2, the float sequence of sq_dists.
     diff = cloud.positions[nbrs]

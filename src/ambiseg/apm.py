@@ -63,11 +63,6 @@ def block_forward(z, block: list[LinearBN], mode: str = "train",
                   update_running: bool = True) -> ag.Tensor:
     """Run the block on a (n, 3+D) batch; output is a (n, 1) tensor in (0, 1)."""
     x = z if isinstance(z, ag.Tensor) else ag.Tensor(np.asarray(z, dtype=np.float64))
-    d_in = block[0].w.data.shape[1]
-    if x.data.ndim != 2 or x.data.shape[0] < 1:
-        raise ValueError("batch must be a non-empty (n, 3+D) array")
-    if x.data.shape[1] != d_in:
-        raise ValueError(f"input dim {x.data.shape[1]} != block dim {d_in}")
     for layer in block:
         x = layer(x, mode, update_running, act="sigmoid")
     return x

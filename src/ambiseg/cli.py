@@ -80,7 +80,18 @@ def _load_model(path: str) -> SegModel:
     for key in ("feat_dim0", "num_classes"):
         if key not in extra:
             raise ValueError(f"{path}: checkpoint has no {key!r} entry")
-    model = SegModel(cfg, feat_dim0=int(extra["feat_dim0"]), num_classes=int(extra["num_classes"]))
+    feat_dim0, num_classes = int(extra["feat_dim0"]), int(extra["num_classes"])
+    # The counts and the config's widths size the model: check them against the
+    # arrays first, so a corrupt count cannot build a model larger than the file.
+    widths = (feat_dim0, *cfg.dims)
+    expected = {"head.b": (num_classes,)} | {
+        f"enc{s}.w": (widths[s], 3 + widths[s - 1]) for s in range(1, cfg.stages + 1)}
+    for name, shape in expected.items():
+        found = arrays[name].shape if name in arrays else None
+        if found != shape:
+            raise ValueError(f"{path}: array {name} has shape {found}, but feat_dim0, "
+                             f"num_classes and dims give {shape}")
+    model = SegModel(cfg, feat_dim0=feat_dim0, num_classes=num_classes)
     model.load_arrays(arrays)
     return model
 

@@ -1,4 +1,4 @@
-"""Point-cloud containers, neighbor search, sampling, transforms, synthetic scenes."""
+"""Point-cloud containers, neighbor search, sampling, synthetic scenes."""
 from __future__ import annotations
 
 import math
@@ -208,18 +208,6 @@ def fps_indices(positions: np.ndarray, m: int) -> np.ndarray:
             np.add(d2, t, out=d2)
         np.minimum(mind2, d2, out=mind2)
     return chosen
-
-
-def rigid_transform(cloud: PointCloud, rotation: np.ndarray, translation: np.ndarray) -> PointCloud:
-    """Apply p -> R p + t; features and labels are untouched."""
-    rot = np.asarray(rotation, dtype=np.float64)
-    t = np.asarray(translation, dtype=np.float64).reshape(3)
-    if rot.shape != (3, 3):
-        raise ValueError("rotation must be 3x3")
-    if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-9:
-        raise ValueError("rotation is not orthonormal within 1e-9")
-    pos = cloud.positions @ rot.T + t
-    return PointCloud(pos, cloud.labels, cloud.num_classes, cloud.features)
 
 
 def _planar_lattice(ppc: int, step: float) -> tuple[np.ndarray, np.ndarray]:

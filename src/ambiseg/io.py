@@ -15,6 +15,7 @@ from ambiseg.config import Config, config_to_text, parse_config
 CHECKPOINT_MAGIC = b"AMC3"
 CHECKPOINT_VERSION = 1
 FLOAT_FORMAT = "%.9g"  # the float rule of every text output
+_INT64 = np.iinfo(np.int64)
 
 
 def fmt(x: float) -> str:
@@ -74,6 +75,8 @@ def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
             labels.append(int(tokens[-1]))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
+        if not _INT64.min <= labels[-1] <= _INT64.max:
+            raise ValueError(f"line {lineno}: label {tokens[-1]} does not fit in int64")
     return np.array(rows), np.array(labels, dtype=np.int64)
 
 
@@ -141,26 +144,6 @@ def write_ply(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray) 
     ]
     c = np.rint(255.0 * np.asarray(ambiguities, dtype=np.float64)).astype(np.int64)
     write_table(path, header, [*positions.T, c, np.zeros_like(c), 255 - c], " ")
-
-
-def read_ply(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and (r, g, b) colors back from an ASCII PLY file."""
-    text = Path(path).read_text().splitlines()
-    if not text or text[0] != "ply":
-        raise ValueError("not a PLY file")
-    if "end_header" not in text:
-        raise ValueError(f"{path}: PLY header has no end_header line")
-    body_start = text.index("end_header") + 1
-    n = 0
-    for line in text[:body_start]:
-        if line.startswith("element vertex"):
-            n = int(line.split()[-1])
-    rows = [line.split() for line in text[body_start:body_start + n]]
-    if len(rows) != n or any(len(r) < 6 for r in rows):
-        raise ValueError(f"{path}: expected {n} vertex rows of x y z red green blue")
-    positions = np.array([[float(t) for t in r[:3]] for r in rows])
-    colors = np.array([[int(t) for t in r[3:6]] for r in rows], dtype=np.int64)
-    return positions, colors
 
 
 def save_checkpoint(path: str | Path, cfg: Config, arrays: dict[str, np.ndarray],

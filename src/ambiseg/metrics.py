@@ -10,7 +10,9 @@ AMBIGUITY_BINS = ("zero", "low", "semi", "high", "one")
 
 
 def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
-    """(C, C) counts; rows are ground truth, columns are prediction."""
+    """(m, m) counts over the m classes present in gt or pred, in increasing id
+    order; rows are ground truth, columns are prediction. Absent classes, which
+    ``scores`` would exclude, get no row, so the size does not grow with the ids."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
@@ -18,8 +20,12 @@ def confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     if pred.size and (pred.min() < 0 or pred.max() >= num_classes
                       or gt.min() < 0 or gt.max() >= num_classes):
         raise ValueError("labels must lie in [0, num_classes)")
-    counts = np.bincount(gt * num_classes + pred, minlength=num_classes ** 2)
-    return counts.reshape(num_classes, num_classes)
+    seen = np.zeros(num_classes, dtype=bool)
+    seen[gt] = seen[pred] = True
+    row = np.cumsum(seen) - 1   # each present class's row
+    m = int(np.count_nonzero(seen))
+    counts = np.bincount(row[gt] * m + row[pred], minlength=m * m)
+    return counts.reshape(m, m)
 
 
 def scores(cm: np.ndarray) -> tuple[float, float, float]:

@@ -275,19 +275,18 @@ def _first_non_finite(report: LossReport) -> str | None:
     return next((f"{name} = {v}" for name, v in terms if not math.isfinite(v)), None)
 
 
-def train(model: SegModel, clouds: list[PointCloud], epochs: int | None = None,
+def train(model: SegModel, clouds: list[PointCloud],
           steps_per_epoch: int = 1) -> list[LossReport]:
-    """Momentum SGD with cosine learning-rate decay; deterministic per seed."""
+    """Momentum SGD with cosine learning-rate decay over ``cfg.epochs``; deterministic per seed."""
     cfg = model.cfg
     if not clouds:
         raise ValueError("training dataset must be non-empty")
-    epochs = cfg.epochs if epochs is None else epochs
     params = model.parameters()
     velocity = [np.zeros_like(p.data) for p in params]
     geometries = [build_geometry(c, cfg, with_labels=True) for c in clouds]
     history: list[LossReport] = []
-    for epoch in range(epochs):
-        lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
         last_report = None
         for cloud, geometry in zip(clouds, geometries):
             for _ in range(steps_per_epoch):

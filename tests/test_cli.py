@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from ambiseg import cli
 from ambiseg import io as aio
 from ambiseg.ambiguity import AefConfig, ambiguity_map
+from ambiseg.cloud import PointCloud
 from ambiseg.config import Config
 from ambiseg.margin import margin_map
 from oracles import ambiguity_csv_text, eval_csv_text, ply_text, predict_csv_text
@@ -40,9 +42,9 @@ def test_synth_and_ambiguity_pipeline(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "index,x,y,z,ambiguity,margin"
     assert len(lines) == 161
-    pos, colors = aio.read_ply(ply_path)
-    assert pos.shape == (160, 3)
-    assert colors.shape == (160, 3)
+    cloud = aio.read_cloud(cloud_path)
+    amb = ambiguity_map(cloud, AefConfig(k=Config().k, beta=Config().beta)).values
+    assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
 
 
 def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
@@ -305,6 +307,58 @@ def test_one_point_cloud_exits_1_naming_the_point_count(tmp_path, capsys, comman
     assert run([command, "--in", str(two), "--out", str(tmp_path / "o2")] + extra) \
         == cli.EXIT_OK
     assert (tmp_path / "o2").exists()
+
+
+def test_label_past_int64_exits_1_with_one_line(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("0 0 0 0\n1 1 1 99999999999999999999\n")
+    capsys.readouterr()
+    assert run(["ambiguity", "--in", str(big), "--out", str(tmp_path / "a.csv")]) \
+        == cli.EXIT_USAGE
+    assert "line 2: label 99999999999999999999 does not fit in int64" in _one_error_line(capsys)
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_corrupt_checkpoint_counts_exit_1_before_building_the_model(tmp_path, capsys):
+    cloud_path, ckpt, bad = tmp_path / "scene.txt", tmp_path / "model.ckpt", tmp_path / "bad.ckpt"
+    run(["synth", "--kind", "planar-boundary", "--points-per-class", "40",
+         "--out", str(cloud_path)])
+    assert run(["train", "--in", str(cloud_path), "--out", str(ckpt)] + TINY) == 0
+    cfg, arrays, extra = aio.load_checkpoint(ckpt)
+    # 2**20 classes or features would size a model of over 100 MiB
+    for key, array in (("num_classes", "head.b"), ("feat_dim0", "enc1.w")):
+        aio.save_checkpoint(bad, cfg, arrays, extra=extra | {key: 2 ** 20})
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run(["predict", "--in", str(cloud_path), "--checkpoint", str(bad),
+                        "--out", str(tmp_path / "p.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_USAGE, key
+        assert f"array {array} has shape" in _one_error_line(capsys)
+        assert peak < 16 * 2 ** 20, (key, peak)
+
+
+def test_eval_with_sparse_class_ids_counts_only_the_present_classes(tmp_path):
+    # classes {0, 3000}: a dense (3001, 3001) confusion count would take 72 MB
+    rng = np.random.default_rng(0)
+    scene, ckpt = tmp_path / "scene.txt", tmp_path / "model.ckpt"
+    labels = np.repeat([0, 3000], 30)
+    positions = rng.normal(size=(60, 3)) + 3.0 * (labels == 3000)[:, None]
+    aio.write_cloud(scene, PointCloud(positions, labels, 3001))
+    assert run(["train", "--in", str(scene), "--out", str(ckpt)] + TINY) == 0
+    tracemalloc.start()
+    try:
+        code = run(["eval", "--in", str(scene), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "eval.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < 16 * 2 ** 20, peak
+    assert (tmp_path / "eval.csv").read_text().startswith("bin,count,miou,macc\nall,60,")
 
 
 @pytest.mark.parametrize("command", ["ambiguity", "predict"])

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambiseg import cloud as cl
-from ambiseg.cloud import (PointCloud, SceneSpec, fps_indices, knn_all, knn_query,
-                           rigid_transform, synth_scene)
+from ambiseg.cloud import PointCloud, SceneSpec, fps_indices, knn_all, knn_query, synth_scene
 from ambiseg.config import Config
 from ambiseg.network import build_geometry
 from oracles import planar_lattice
@@ -307,26 +306,6 @@ def test_fps_validation():
         fps_indices(pos, 0)
     with pytest.raises(ValueError):
         fps_indices(pos, 5)
-
-
-def test_rigid_transform_preserves_distances():
-    rng = np.random.default_rng(2)
-    c = PointCloud(rng.normal(size=(30, 3)), rng.integers(0, 2, 30), 2)
-    theta = 0.7
-    rot = np.array([[np.cos(theta), -np.sin(theta), 0],
-                    [np.sin(theta), np.cos(theta), 0],
-                    [0, 0, 1.0]])
-    out = rigid_transform(c, rot, [1.0, -2.0, 0.5])
-    d_before = np.linalg.norm(c.positions[:, None] - c.positions[None], axis=2)
-    d_after = np.linalg.norm(out.positions[:, None] - out.positions[None], axis=2)
-    np.testing.assert_allclose(d_after, d_before, atol=1e-12)
-    np.testing.assert_array_equal(out.labels, c.labels)
-
-
-def test_rigid_transform_rejects_non_orthonormal():
-    c = PointCloud(np.zeros((2, 3)), np.zeros(2, dtype=int), 1)
-    with pytest.raises(ValueError):
-        rigid_transform(c, np.eye(3) * 2.0, np.zeros(3))
 
 
 def test_scene_spec_validation():

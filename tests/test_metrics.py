@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,33 @@ def test_scores_exclude_absent_classes():
     assert oa == pytest.approx(75.0)
     assert macc == pytest.approx(100.0 * (2 / 3 + 1.0) / 2)
     assert miou == pytest.approx(100.0 * (2 / 3 + 0.5) / 2)
+
+
+def dense_confusion(pred, gt, num_classes):
+    """A (C, C) count with a row and a column for every class id below C."""
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(cm, (gt, pred), 1)
+    return cm
+
+
+def test_confusion_counts_only_the_present_classes():
+    rng = np.random.default_rng(4)
+    pred, gt = rng.choice([0, 2, 5], size=40), rng.choice([0, 2, 5], size=40)
+    dense = dense_confusion(pred, gt, 7)
+    cm = confusion(pred, gt, 7)
+    np.testing.assert_array_equal(cm, dense[np.ix_([0, 2, 5], [0, 2, 5])])
+    assert scores(cm) == scores(dense)
+    # classes {0, 3000}: the dense count would be a 72 MB (3001, 3001) matrix
+    pred, gt = rng.choice([0, 3000], size=200), rng.choice([0, 3000], size=200)
+    tracemalloc.start()
+    try:
+        cm = confusion(pred, gt, 3001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert cm.shape == (2, 2) and cm.sum() == 200
+    assert scores(cm) == scores(dense_confusion(pred, gt, 3001))
 
 
 def test_scores_perfect():

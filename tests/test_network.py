@@ -117,8 +117,9 @@ def _infer_bytes(model, cloud, geometry) -> list[bytes]:
 
 def test_infer_forward_does_not_depend_on_the_block_size(monkeypatch):
     cloud = synth_scene(SceneSpec("two-rooms", points_per_class=120, noise_sigma=0.02, seed=5))
-    model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    train(model, [cloud], epochs=3)   # running statistics away from their (0, 1) start
+    model = SegModel(dataclasses.replace(SMALL, epochs=3), feat_dim0=3,
+                     num_classes=cloud.num_classes)
+    train(model, [cloud])   # running statistics away from their (0, 1) start
     geometry = build_geometry(cloud, SMALL, with_labels=False)
     n_s, k_enc = geometry[0].enc_nbr.shape
     per_group = k_enc * max(model.enc[0].w.data.shape)   # elements of one stage-1 group
@@ -248,8 +249,9 @@ def test_training_reduces_loss_and_is_deterministic():
     cloud = small_cloud()
     runs = []
     for _ in range(2):
-        model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-        history = train(model, [cloud], epochs=15, steps_per_epoch=2)
+        model = SegModel(dataclasses.replace(SMALL, epochs=15), feat_dim0=3,
+                         num_classes=cloud.num_classes)
+        history = train(model, [cloud], steps_per_epoch=2)
         runs.append((history, model))
     h0, m0 = runs[0]
     h1, m1 = runs[1]
@@ -281,8 +283,9 @@ def test_train_rejects_empty_dataset():
 
 def test_predict_output_ranges():
     cloud = small_cloud()
-    model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    train(model, [cloud], epochs=5)
+    model = SegModel(dataclasses.replace(SMALL, epochs=5), feat_dim0=3,
+                     num_classes=cloud.num_classes)
+    train(model, [cloud])
     labels, amb = predict(model, cloud)
     assert labels.shape == (cloud.n,)
     assert amb.shape == (cloud.n,)
@@ -292,10 +295,11 @@ def test_predict_output_ranges():
 
 def test_checkpoint_roundtrip_predictions_bit_identical(tmp_path):
     cloud = small_cloud()
-    model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    train(model, [cloud], epochs=8)
+    model = SegModel(dataclasses.replace(SMALL, epochs=8), feat_dim0=3,
+                     num_classes=cloud.num_classes)
+    train(model, [cloud])
     path = tmp_path / "model.ckpt"
-    aio.save_checkpoint(path, SMALL, model.named_arrays(),
+    aio.save_checkpoint(path, model.cfg, model.named_arrays(),
                         extra={"feat_dim0": 3, "num_classes": cloud.num_classes})
     cfg2, arrays, extra = aio.load_checkpoint(path)
     clone = SegModel(cfg2, feat_dim0=extra["feat_dim0"], num_classes=extra["num_classes"])
@@ -378,9 +382,9 @@ def test_refinement_blend_changes_features_when_band_covers_predictions(monkeypa
 
 def test_single_stage_model():
     cloud = small_cloud()
-    cfg = Config(k=8, k_tilde=4, dims=(6,), stages=1, seed=0)
+    cfg = Config(k=8, k_tilde=4, dims=(6,), stages=1, epochs=3, seed=0)
     model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
-    history = train(model, [cloud], epochs=3)
+    history = train(model, [cloud])
     assert len(history) == 3
     labels, _ = predict(model, cloud)
     assert labels.shape == (cloud.n,)
