@@ -41,25 +41,16 @@ def _inverse_sigmoid(z: float) -> float:
 
 
 def ambiguity_map(cloud: PointCloud, cfg: AefConfig,
-                  nbrs: np.ndarray | None = None) -> AmbiguityMap:
+                  search: tuple[np.ndarray, np.ndarray] | None = None) -> AmbiguityMap:
     """Ambiguity for every point.
 
-    ``nbrs`` is the (n, K) ``knn_all`` matrix when the caller already holds it;
-    without it the search runs here. Vectorized, but bit-equal to a
-    ``math.exp`` reference on any host: only the neighbour search and the
-    closeness sums run in numpy, and each mixed point's sigmoid runs in
-    ``_inverse_sigmoid``.
+    ``search`` is the (indices, squared distances) pair of ``knn_all(positions,
+    K)`` when the caller already holds it; without it the search runs here.
+    Vectorized, but bit-equal to a ``math.exp`` reference on any host: only the
+    neighbour search and the closeness sums run in numpy, and each mixed
+    point's sigmoid runs in ``_inverse_sigmoid``.
     """
-    if nbrs is None:
-        nbrs = knn_all(cloud.positions, cfg.k)
-    # One (n, K, 3) array: the gathered neighbours, turned in place into squared
-    # differences and summed as (dx^2 + dy^2) + dz^2, the float sequence of sq_dists.
-    diff = cloud.positions[nbrs]
-    diff -= cloud.positions[:, None, :]
-    diff *= diff
-    d2 = np.add(diff[..., 0], diff[..., 1])
-    d2 += diff[..., 2]
-    del diff
+    nbrs, d2 = knn_all(cloud.positions, cfg.k) if search is None else search
     same = cloud.labels[nbrs] == cloud.labels[:, None]
     n_plus = same.sum(axis=1)
     n_minus = cfg.k - n_plus

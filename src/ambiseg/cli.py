@@ -195,6 +195,9 @@ def main(argv=None) -> int:
     except RuntimeError as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as e:
+        print(f"runtime failure: out of memory: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

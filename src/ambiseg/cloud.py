@@ -144,16 +144,17 @@ def _unsettled(cd2: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9))
 
 
-def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) indices of the k nearest ``ref`` rows to each query row.
+def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) indices of the k nearest ``ref`` rows to each query row, and the
+    (m, k) squared distances from ``sq_dists`` that ranked them.
 
-    Ranks by (squared distance from ``sq_dists``, index): ties go to the lower
-    index. Every row takes ``k + _KNN_SLACK`` kd-tree candidates, whose
-    distances are recomputed by the library rule and re-ranked. A row whose
-    k-th candidate may tie a point outside them is queried again the same way
-    at widths 2k, 4k, ... (each plus the slack) until it is settled or its
-    candidates are all n points. Each query runs in blocks of rows holding
-    about ``_BLOCK_ELEMS`` candidates.
+    Ranks by (squared distance, index): ties go to the lower index. Every row
+    takes ``k + _KNN_SLACK`` kd-tree candidates, whose distances are recomputed
+    by the library rule and re-ranked. A row whose k-th candidate may tie a
+    point outside them is queried again the same way at widths 2k, 4k, ...
+    (each plus the slack) until it is settled or its candidates are all n
+    points; both outputs come from the pass that settled it. Each query runs in
+    blocks of rows holding about ``_BLOCK_ELEMS`` candidates.
     """
     ref = np.asarray(ref, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -161,6 +162,7 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"K={k} must satisfy 1 <= K <= n={n}")
     out = np.empty((m, k), dtype=np.int64)
+    out_d2 = np.empty((m, k))
     tree = cKDTree(ref)
     cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
     rows, width = np.arange(m), k
@@ -171,15 +173,15 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
         for lo in range(0, rows.size, block):
             r = rows[lo:lo + block]
             cand, cd2 = _ranked_candidates(tree, cols, queries[r], kc)
-            out[r] = cand[:, :k]
+            out[r], out_d2[r] = cand[:, :k], cd2[:, :k]
             if kc < n:
                 retry.append(r[_unsettled(cd2, k)])
         rows, width = np.concatenate(retry), 2 * width
-    return out
+    return out, out_d2
 
 
-def knn_all(positions: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) ``knn_query`` of every point against its own cloud."""
+def knn_all(positions: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, k) ``knn_query`` of every point against its own cloud: indices, squared distances."""
     return knn_query(positions, positions, k)
 
 

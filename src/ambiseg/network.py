@@ -4,10 +4,10 @@ Encoder stages downsample by farthest point sampling and aggregate neighbor
 features with a shared MLP + max pool: one ``ag.neighborhood_max`` node (affine,
 batch norm, ReLU, then the max over each point's K rows) per stage in train mode,
 one per block of groups in infer mode. Decoder stages upsample by 3-NN
-inverse-squared-distance interpolation, the three nearest coarse points chosen
-by the (squared distance, index) rule of ``cloud.knn_query``, and fuse skip
-features. Contrastive, regression, and cross-entropy objectives combine into
-one differentiable total.
+inverse-squared-distance interpolation over one ``cloud.knn_query``: its
+(squared distance, index) rule picks the three coarse points, the squared
+distances it ranked by weight them. They fuse skip features. Contrastive,
+regression, and cross-entropy objectives combine into one differentiable total.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from ambiseg import autograd as ag
 from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.apm import LinearBN, block_forward, glorot_uniform, init_apm_block, loss_reg
-from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query, sq_dists
+from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query
 from ambiseg.config import Config
 from ambiseg.margin import margin_map
 from ambiseg.refine import refine
@@ -121,22 +121,22 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool) -> list[St
         idx = fps_indices(parent_pos, n_s)
         pos = parent_pos[idx]
         lab = parent_lab[idx] if parent_lab is not None else None   # inherited labels
-        enc_nbr = knn_query(parent_pos, pos, min(cfg.k, parent_pos.shape[0]))
+        enc_nbr, _ = knn_query(parent_pos, pos, min(cfg.k, parent_pos.shape[0]))
         # 3-NN inverse-squared-distance interpolation weights
-        up_idx = knn_query(pos, parent_pos, min(3, n_s))
-        inv = 1.0 / np.maximum(sq_dists(pos[up_idx], parent_pos[:, None, :]), 1e-12)
+        up_idx, up_d2 = knn_query(pos, parent_pos, min(3, n_s))
+        inv = 1.0 / np.maximum(up_d2, 1e-12)
         up_w = inv / inv.sum(axis=1, keepdims=True)
         kt = min(cfg.k_tilde, n_s)
         k_aef = min(cfg.k, n_s)
         # under the tie rule the first columns of a wider search are the narrower one
-        nbrs = knn_all(pos, max(kt, k_aef) if lab is not None else kt)
+        nbrs, nbr_d2 = knn_all(pos, max(kt, k_aef) if lab is not None else kt)
         geo = StageGeometry(indices=idx, positions=pos, labels=lab,
                             enc_nbr=enc_nbr, up_idx=up_idx, up_w=up_w, mr_nbr=nbrs[:, 1:kt])
         if lab is not None:
             stage_cloud = PointCloud(pos, lab, cloud.num_classes)
             geo.nbr_matrix = nbrs[:, :k_aef]
             geo.ambiguities = ambiguity_map(stage_cloud, AefConfig(k=k_aef, beta=cfg.beta),
-                                            nbrs=geo.nbr_matrix).values
+                                            (geo.nbr_matrix, nbr_d2[:, :k_aef])).values
             geo.margins = margin_map(geo.ambiguities, cfg.mu, cfg.nu)
             geo.intra_mask = lab[geo.nbr_matrix] == lab[:, None]
         geoms.append(geo)

@@ -235,7 +235,7 @@ def test_criterion_09_apm_regression(overfit_run):
 def test_criterion_10_refinement_invariants():
     rng = np.random.default_rng(0)
     feats = ag.Tensor(rng.normal(size=(64, 8)))
-    nbr = knn_all(rng.normal(size=(64, 3)), 6)[:, 1:]  # anchor excluded
+    nbr = knn_all(rng.normal(size=(64, 3)), 6)[0][:, 1:]  # anchor excluded
     low = rng.uniform(0.0, 0.5, size=64)
     hot = rng.uniform(0.85, 1.0, size=64)
     noop_ok = (refine(feats, hot, nbr, Config(gamma=0.0, k_tilde=6)) is feats

@@ -341,6 +341,23 @@ def test_corrupt_checkpoint_counts_exit_1_before_building_the_model(tmp_path, ca
         assert peak < 16 * 2 ** 20, (key, peak)
 
 
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # A 2-point cloud labelled 2**40 sizes a 128 TiB head. The stand-in raises
+    # numpy's error for it, so nothing is allocated.
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. TiB for an array with shape "
+                          "(1099511627777, 16) and data type float64")
+
+    monkeypatch.setattr(cli, "SegModel", too_large)
+    scene, ckpt = tmp_path / "scene.txt", tmp_path / "model.ckpt"
+    scene.write_text("0 0 0 0\n1 1 1 1099511627776\n")
+    capsys.readouterr()
+    assert run(["train", "--in", str(scene), "--out", str(ckpt)] + TINY) == cli.EXIT_RUNTIME
+    assert _one_error_line(capsys).startswith(
+        "runtime failure: out of memory: Unable to allocate 128. TiB")
+    assert not ckpt.exists()
+
+
 def test_eval_with_sparse_class_ids_counts_only_the_present_classes(tmp_path):
     # classes {0, 3000}: a dense (3001, 3001) confusion count would take 72 MB
     rng = np.random.default_rng(0)

@@ -20,8 +20,9 @@ def brute_knn(positions, anchor, k):
 
 
 def knn_of(positions, anchor, k):
-    """One anchor's row of knn_query."""
-    return knn_query(positions, positions[anchor:anchor + 1], k)[0]
+    """One anchor's row of knn_query's indices."""
+    idx, _ = knn_query(positions, positions[anchor:anchor + 1], k)
+    return idx[0]
 
 
 def test_pointcloud_validation():
@@ -59,8 +60,8 @@ def test_pointcloud_rejects_positions_whose_squared_distances_overflow():
     # at +-1e150 the bounding box's squared diagonal, about 1.2e301, is finite
     wide = np.random.default_rng(3).choice([-1e150, 0.0, 1e150], size=(40, 3))
     cloud = PointCloud(wide, np.zeros(40, dtype=int), 1)
-    np.testing.assert_array_equal(knn_all(cloud.positions, 6),
-                                  knn_oracle(cloud.positions, cloud.positions, 6))
+    assert_search_equal(knn_all(cloud.positions, 6),
+                        knn_oracle(cloud.positions, cloud.positions, 6))
 
 
 def test_pointcloud_arrays_are_readonly():
@@ -93,7 +94,7 @@ def test_knn_kdtree_path_agrees_with_brute():
     # force exact ties by duplicating a block of points
     pos[150:180] = pos[:30]
     expected = np.stack([brute_knn(pos, i, 16) for i in range(300)])
-    got = knn_all(pos, 16)
+    got, _ = knn_all(pos, 16)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -105,23 +106,37 @@ def test_knn_validation():
         knn_all(pos, 0)
     with pytest.raises(ValueError):
         knn_query(pos, np.zeros((2, 3)), 6)
-    assert knn_query(pos, np.zeros((0, 3)), 2).shape == (0, 2)
+    idx, _ = knn_query(pos, np.zeros((0, 3)), 2)
+    assert idx.shape == (0, 2)
 
 
 def test_knn_wrapper_includes_anchor_first_on_distinct_points():
     rng = np.random.default_rng(5)
     c = PointCloud(rng.normal(size=(50, 3)), rng.integers(0, 2, 50), 2)
-    nb = knn_all(c.positions, 6)
+    nb, _ = knn_all(c.positions, 6)
     assert nb.shape == (50, 6)
     # each anchor is its own zero-distance neighbor
     np.testing.assert_array_equal(nb[:, 0], np.arange(50))
 
 
 def knn_oracle(ref, queries, k):
-    """Reference k-NN: every ref row sorted by (np.sum of squared differences, index)."""
-    rows = [np.lexsort((np.arange(ref.shape[0]), np.sum((ref - q) ** 2, axis=1)))[:k]
-            for q in queries]
-    return np.asarray(rows, dtype=np.int64).reshape(len(queries), k)
+    """Reference k-NN: every ref row sorted by (np.sum of squared differences,
+    index); the (m, k) indices and those sums at them."""
+    rows, sums = [], []
+    for q in queries:
+        d2 = np.sum((ref - q) ** 2, axis=1)
+        rows.append(np.lexsort((np.arange(ref.shape[0]), d2))[:k])
+        sums.append(d2[rows[-1]])
+    return (np.asarray(rows, dtype=np.int64).reshape(len(queries), k),
+            np.asarray(sums, dtype=np.float64).reshape(len(queries), k))
+
+
+def assert_search_equal(got, want):
+    """The same (indices, squared distances) pair, the distances bit for bit."""
+    (idx, d2), (want_idx, want_d2) = got, want
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(d2, want_d2)
+    assert d2.dtype == want_d2.dtype and d2.tobytes() == want_d2.tobytes()
 
 
 def record_tree_calls(monkeypatch):
@@ -160,7 +175,7 @@ def test_knn_query_matches_oracle():
     # queries off the reference set, plus some that coincide with duplicated rows
     queries = np.vstack([rng.normal(size=(40, 3)), ref[:10], ref[160:165]])
     for k in (1, 3, 16, 40, 300):
-        np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
+        assert_search_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
 
 
 def test_knn_query_lattice_ties_take_the_exact_fallback(monkeypatch):
@@ -171,7 +186,7 @@ def test_knn_query_lattice_ties_take_the_exact_fallback(monkeypatch):
     slack = cl._KNN_SLACK
     for k in (8, 24):
         calls.clear()
-        np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
+        assert_search_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
         rows = width_rows(calls)
         assert list(rows) == [k + slack, 2 * k + slack], (k, rows)
         assert rows[k + slack] == 600 and rows[2 * k + slack] > 0, (k, rows)
@@ -180,7 +195,7 @@ def test_knn_query_lattice_ties_take_the_exact_fallback(monkeypatch):
 def test_knn_query_duplicate_heavy_rows_reach_a_third_width(monkeypatch):
     calls = record_tree_calls(monkeypatch)
     pos = duplicate_heavy_cloud()
-    np.testing.assert_array_equal(knn_query(pos, pos, 20), knn_oracle(pos, pos, 20))
+    assert_search_equal(knn_query(pos, pos, 20), knn_oracle(pos, pos, 20))
     rows = width_rows(calls)
     assert list(rows) == [24, 44, 84], rows
     # the 61 copies, plus normal points whose 20th neighbour is among them
@@ -202,7 +217,7 @@ def test_knn_query_property_on_integer_grids(monkeypatch):
         queries = rng.integers(0, 2 * extent + 1, size=(25, 3)) / 2.0
         k = 1 + int(k_frac ** 2 * (n - 1))
         calls.clear()
-        np.testing.assert_array_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
+        assert_search_equal(knn_query(ref, queries, k), knn_oracle(ref, queries, k))
         rows = width_rows(calls)
         widths.add(min(len(rows), 3))
         if len(rows) > 1 and max(rows) == n:
@@ -222,7 +237,7 @@ def test_knn_query_blocks_keep_their_row_offsets(monkeypatch):
     lattice = synth_scene(SceneSpec("planar-boundary", points_per_class=300)).positions
     for pos, k in ((lattice, 8), (lattice, 24), (duplicate_heavy_cloud(), 20)):
         calls.clear()
-        np.testing.assert_array_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
+        assert_search_equal(knn_query(pos, pos, k), knn_oracle(pos, pos, k))
         widths = list(width_rows(calls))
         assert len(widths) >= 2, widths
         for kc in widths:
@@ -232,7 +247,8 @@ def test_knn_query_blocks_keep_their_row_offsets(monkeypatch):
 
 def test_knn_all_memory_stays_bounded_by_blocks():
     # Unblocked, the (n, k + slack) candidate arrays on this lattice peak at
-    # about 8 MiB; blocks keep the peak at about 3.4 MiB.
+    # about 8 MiB; blocks keep the peak at about 4.1 MiB, the (n, k) output
+    # indices and squared distances included.
     pos = synth_scene(SceneSpec("planar-boundary", points_per_class=2040)).positions
     tracemalloc.start()
     try:
@@ -252,24 +268,35 @@ def test_knn_all_memory_stays_bounded_on_a_large_duplicate_cluster():
     pos[3000:5000] = pos[3000]
     tracemalloc.start()
     try:
-        nb = knn_all(pos, 24)
+        nb, d2 = knn_all(pos, 24)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"knn_all peaked at {peak / 2**20:.1f} MiB"
     rows = np.r_[2990:3010, 4990:5010, rng.choice(10_000, 40, replace=False)]
-    np.testing.assert_array_equal(nb[rows], knn_oracle(pos, pos[rows], 24))
+    assert_search_equal((nb[rows], d2[rows]), knn_oracle(pos, pos[rows], 24))
 
 
-def test_build_geometry_upsampling_follows_the_tie_rule_on_a_lattice():
-    cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=500))
+def check_upsampling_follows_the_tie_rule(spec):
+    """At every stage, up_idx is the oracle's 3-NN and up_w the inverse-squared-
+    distance weights of the gathered positions."""
+    cloud = synth_scene(spec)
     parent = cloud.positions
     for geo in build_geometry(cloud, Config(), with_labels=False):
-        np.testing.assert_array_equal(geo.up_idx, knn_oracle(geo.positions, parent, 3))
+        np.testing.assert_array_equal(geo.up_idx, knn_oracle(geo.positions, parent, 3)[0])
         d2 = np.sum((geo.positions[geo.up_idx] - parent[:, None, :]) ** 2, axis=2)
         inv = 1.0 / np.maximum(d2, 1e-12)
         np.testing.assert_array_equal(geo.up_w, inv / inv.sum(axis=1, keepdims=True))
         parent = geo.positions
+
+
+def test_build_geometry_upsampling_follows_the_tie_rule_on_a_lattice():
+    check_upsampling_follows_the_tie_rule(SceneSpec("planar-boundary", points_per_class=500))
+
+
+def test_build_geometry_upsampling_follows_the_tie_rule_on_noisy_rooms():
+    check_upsampling_follows_the_tie_rule(SceneSpec("two-rooms", points_per_class=300,
+                                                    noise_sigma=0.02))
 
 
 def fps_reference(positions, m):

@@ -66,8 +66,8 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
     assert calls == [cfg.k] * cfg.stages
     for geo in geoms:
         n_s = geo.positions.shape[0]
-        np.testing.assert_array_equal(geo.mr_nbr, knn_all(geo.positions, cfg.k_tilde)[:, 1:])
-        np.testing.assert_array_equal(geo.nbr_matrix, knn_all(geo.positions, min(cfg.k, n_s)))
+        np.testing.assert_array_equal(geo.mr_nbr, knn_all(geo.positions, cfg.k_tilde)[0][:, 1:])
+        np.testing.assert_array_equal(geo.nbr_matrix, knn_all(geo.positions, min(cfg.k, n_s))[0])
         own_search = ambiguity_map(PointCloud(geo.positions, geo.labels, cloud.num_classes),
                                    AefConfig(k=min(cfg.k, n_s), beta=cfg.beta))
         np.testing.assert_array_equal(geo.ambiguities, own_search.values)

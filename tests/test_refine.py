@@ -49,7 +49,7 @@ def test_refine_embedding_blend():
 
 def _stage(rng, n, d):
     feats = ag.Tensor(rng.normal(size=(n, d)))
-    nbr = knn_all(rng.normal(size=(n, 3)), 6)[:, 1:]  # anchor excluded from its candidates
+    nbr = knn_all(rng.normal(size=(n, 3)), 6)[0][:, 1:]  # anchor excluded from its candidates
     return feats, nbr
 
 
@@ -72,7 +72,7 @@ def test_refine_stage_uses_snapshot_features():
     pred = np.array([0.95, 0.95, 0.0])
     cfg = Config(gamma=1.0, k_tilde=2)
     # k_tilde=2 keeps one candidate per anchor: nbr(0)={1}, nbr(1)={0}
-    nbr = knn_all(pos, cfg.k_tilde)[:, 1:]
+    nbr = knn_all(pos, cfg.k_tilde)[0][:, 1:]
     out = refine(feats, pred, nbr, cfg)
     np.testing.assert_array_equal(out.data[:, 0], [20.0, 10.0, 30.0])
     assert list(build_masks(pred, nbr, cfg).self_mask) == [1, 1, 0]
