@@ -47,7 +47,7 @@ class StageGeometry:
     enc_nbr: np.ndarray          # (n_s, K_enc) neighbor rows in the parent stage
     up_idx: np.ndarray           # (n_parent, 3) nearest stage points per parent point
     up_w: np.ndarray             # (n_parent, 3) inverse-distance upsample weights
-    mr_nbr: np.ndarray           # (n_s, k_tilde - 1), anchor excluded
+    mr_nbr: np.ndarray           # (n_s, k_tilde - 1) kNN rows minus column 0 (see refine)
     ambiguities: np.ndarray | None = None
     margins: np.ndarray | None = None
     nbr_matrix: np.ndarray | None = None   # (n_s, K_aef) for the contrast loss

@@ -37,7 +37,10 @@ def build_masks(pred_values: np.ndarray, nbr: np.ndarray, cfg: Config) -> MaskSe
 
 
 def refine(x: ag.Tensor, pred_values: np.ndarray, nbr: np.ndarray, cfg: Config) -> ag.Tensor:
-    """Masked refinement of a stage's (n, D) features; ``nbr`` excludes the anchor.
+    """Masked refinement of a stage's (n, D) features; ``nbr`` is each stage point's
+    kNN row minus column 0. That column is the anchor, unless a coincident point of
+    lower index ranks first: then the anchor's own index stays in ``nbr``. Coincident
+    points share their rows, so their outputs stay bit-identical.
 
     Returns ``x`` itself when ``gamma`` is 0 or no self-mask bit is set. Otherwise
     each row is ``(1 - gamma * s_i) x_i + gamma * s_i * sum_h c_ih x_nbr_ih`` with

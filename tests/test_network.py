@@ -9,10 +9,13 @@ from ambiseg import autograd as ag
 from ambiseg import io as aio
 from ambiseg import ambiguity, network
 from ambiseg.ambiguity import AefConfig, ambiguity_map
+from ambiseg.apm import block_forward
 from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config
 from ambiseg.network import (SegModel, _stage_sizes, build_geometry, forward,
                              loss_joint, predict, train)
+from ambiseg.refine import refine
+from oracles import cross_mask
 
 SMALL = Config(k=8, k_tilde=4, dims=(6, 8), stages=2, seed=0)
 
@@ -378,6 +381,74 @@ def test_refinement_blend_changes_features_when_band_covers_predictions(monkeypa
         mp.setattr(network, "refine", lambda x, *args: x)
         b = forward(model_off, cloud, mode="infer", geometry=geo_off)
     np.testing.assert_array_equal(a.stage_feats[1].data, b.stage_feats[1].data)
+
+
+def test_training_refines_every_stage_with_the_infer_predictions(monkeypatch):
+    cloud = synth_scene(SceneSpec("two-rooms", points_per_class=100, noise_sigma=0.02, seed=0))
+    cfg = Config(epsilon_lo=0.0, gamma=0.5, epochs=20)
+    model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
+    calls, infer_out, results = [], [], []
+
+    def recording_refine(x, pred_values, nbr, cfg_):
+        out = refine(x, pred_values, nbr, cfg_)
+        calls.append((len(results), x.data.copy(), pred_values, nbr, out is x, out.data.copy()))
+        return out
+
+    def recording_block(z, block, mode, update_running):
+        out = block_forward(z, block, mode=mode, update_running=update_running)
+        if mode == "infer":
+            infer_out.append(out.data[:, 0].copy())
+        return out
+
+    def recording_loss(model_, result, labels):
+        results.append(result)
+        return loss_joint(model_, result, labels)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(network, "refine", recording_refine)
+        mp.setattr(network, "block_forward", recording_block)
+        mp.setattr(network, "loss_joint", recording_loss)
+        history = train(model, [cloud])
+
+    totals = [r.l_total for r in history]
+    assert all(np.isfinite(totals)) and totals[-1] < totals[0]
+    geometry = results[0].geometry
+    stage_of = {id(geo.mr_nbr): s for s, geo in enumerate(geometry, start=1)}
+    # the decoder refines the deepest stage first
+    assert [(step, stage_of[id(nbr)]) for step, _, _, nbr, _, _ in calls] == \
+        [(step, s) for step in range(cfg.epochs) for s in range(cfg.stages, 0, -1)]
+    for step, x, pred, nbr, unchanged, out in calls:
+        s = stage_of[id(nbr)]
+        result = results[step]
+        assert not unchanged
+        np.testing.assert_array_equal(pred, result.pred_amb[s])
+        np.testing.assert_array_equal(pred, infer_out[cfg.stages * step + s - 1])
+        assert not np.array_equal(pred, result.apm_train_out[s].data[:, 0])
+        for i in range(x.shape[0]):
+            s_i = float(cfg.epsilon_lo <= pred[i] <= cfg.epsilon_hi)
+            _, c_i = cross_mask(pred[nbr[i]], cfg.cross_mask_mode)
+            blend = (1 - cfg.gamma * s_i) * x[i] + cfg.gamma * s_i * (c_i @ x[nbr[i]])
+            np.testing.assert_allclose(out[i], blend, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [Config(), Config(epsilon_lo=0.0, gamma=0.5)])
+def test_coincident_stage_points_get_identical_features_and_predictions(cfg):
+    # Five copies of 100 points: FPS samples coincident points, and by the index
+    # tie rule some of their refinement rows hold their own index.
+    positions = np.tile(np.random.default_rng(0).normal(size=(100, 3)), (5, 1))
+    cloud = PointCloud(positions, np.zeros(500, dtype=np.int64), 2)
+    model = SegModel(cfg, feat_dim0=3, num_classes=2)
+    geometry = build_geometry(cloud, cfg, with_labels=False)
+    result = forward(model, cloud, "infer", geometry)
+    stage1 = geometry[0]
+    assert (stage1.mr_nbr == np.arange(stage1.positions.shape[0])[:, None]).any()
+    for s, geo in enumerate(geometry, start=1):
+        _, group = np.unique(geo.positions, axis=0, return_inverse=True)
+        group = group.ravel()
+        first = np.unique(group, return_index=True)[1][group]   # first row of each group
+        np.testing.assert_array_equal(result.stage_feats[s].data,
+                                      result.stage_feats[s].data[first])
+        np.testing.assert_array_equal(result.pred_amb[s], result.pred_amb[s][first])
 
 
 def test_single_stage_model():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ambiseg import autograd as ag
+from ambiseg import gradcheck, network
 from ambiseg.cloud import knn_all
 from ambiseg.config import Config, ConfigError
+from ambiseg.network import build_geometry
 from ambiseg.refine import MaskSet, build_masks, refine
 from oracles import cross_mask
 
@@ -98,3 +100,26 @@ def test_single_mode_sets_exactly_one_bit():
     nbr = np.stack([rng.choice(50, size=7, replace=False) for _ in range(50)])
     masks = build_masks(vals, nbr, Config(k_tilde=8))
     np.testing.assert_array_equal(masks.cross_mask.sum(axis=1), 1)
+
+
+def test_gradcheck_joint_refines_both_stages_at_every_call(monkeypatch):
+    geometries, calls = [], []
+
+    def recording_geometry(*args, **kwargs):
+        geometries.append(build_geometry(*args, **kwargs))
+        return geometries[-1]
+
+    def recording_refine(x, pred_values, nbr, cfg):
+        out = refine(x, pred_values, nbr, cfg)
+        calls.append((nbr, out is x))
+        return out
+
+    monkeypatch.setattr(gradcheck, "build_geometry", recording_geometry)
+    monkeypatch.setattr(network, "refine", recording_refine)
+    gradcheck.run_gradcheck(seed=0)
+    (geometry,) = geometries   # the joint check's
+    assert len(geometry) == 2 and calls
+    for j, (nbr, unchanged) in enumerate(calls):
+        # every forward pass refines stage 2, then stage 1, each into a new node
+        assert nbr is geometry[1 - j % 2].mr_nbr
+        assert not unchanged
