@@ -31,7 +31,8 @@ class LinearBN:
         self.beta = ag.Tensor(np.zeros(d_out), requires_grad=True)
         self.bn = ag.BatchNormState(running_mean=np.zeros(d_out), running_var=np.ones(d_out))
 
-    def __call__(self, x: ag.Tensor, mode: str, update_running: bool, act: str = "relu") -> ag.Tensor:
+    def __call__(self, x: ag.Tensor, mode: str, update_running: bool = True,
+                 act: str = "relu") -> ag.Tensor:
         """The unit's output; in infer mode a constant ``Tensor`` with no graph.
 
         Nothing differentiates an inference pass, so an infer-mode unit keeps no

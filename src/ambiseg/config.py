@@ -47,10 +47,12 @@ class Config:
             raise ConfigError("epsilon_lo must be <= epsilon_hi")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda must lie in [0, 1]")
-        if self.tau <= 0:
-            raise ConfigError("tau must be > 0")
-        if self.beta <= 0:
-            raise ConfigError("beta must be > 0")
+        for name in ("tau", "beta", "lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("omega", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.stages < 1:
             raise ConfigError("stages must be >= 1")
         if len(self.dims) != self.stages:

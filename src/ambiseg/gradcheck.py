@@ -36,11 +36,11 @@ def check_loss_reg(seed: int) -> float:
     target = rng.uniform(0.05, 0.95, size=n)
 
     def f():
-        pred = block_forward(z, block, mode="train", update_running=False)
+        pred = block_forward(z, block, mode="train")
         return loss_reg(pred, target)
 
     # avoid the |.| kink: nudge targets away from near-zero residuals
-    resid = np.abs(block_forward(z, block, mode="train", update_running=False).data[:, 0] - target)
+    resid = np.abs(block_forward(z, block, mode="train").data[:, 0] - target)
     target = np.where(resid < 1e-6, target + 1e-3, target)
     return ag.finite_diff_check(f, [p for layer in block for p in layer.parameters()])
 
@@ -66,8 +66,9 @@ def check_joint(seed: int) -> float:
     # finite-difference probe cannot represent; the coupled flag makes the
     # whole objective differentiable end to end.
     # The band [0, 1] holds every sigmoid prediction and k_tilde = 2 leaves one
-    # neighbour column, so every mask bit is set and no probe can flip one;
-    # gamma = 0.5 weights both the self and the neighbour column.
+    # neighbour column, so every mask bit is set and no probe can flip one, nor can
+    # the running statistics each train-mode call moves (the infer predictions read
+    # them); gamma = 0.5 weights both the self and the neighbour column.
     cfg = Config(k=6, k_tilde=2, stages=2, dims=(4, 6), seed=seed,
                  epsilon_lo=0.0, gamma=0.5, apm_detach=False)
     cloud = _tiny_cloud(rng)
@@ -75,8 +76,7 @@ def check_joint(seed: int) -> float:
     geometry = build_geometry(cloud, cfg, with_labels=True)
 
     def f():
-        result = forward(model, cloud, mode="train", geometry=geometry,
-                         update_running=False)
+        result = forward(model, cloud, mode="train", geometry=geometry)
         total, _ = loss_joint(model, result, cloud.labels)
         return total
 

@@ -6,8 +6,11 @@ batch norm, ReLU, then the max over each point's K rows) per stage in train mode
 one per block of groups in infer mode. Decoder stages upsample by 3-NN
 inverse-squared-distance interpolation over one ``cloud.knn_query``: its
 (squared distance, index) rule picks the three coarse points, the squared
-distances it ranked by weight them. They fuse skip features. Contrastive,
-regression, and cross-entropy objectives combine into one differentiable total.
+distances it ranked by weight them. They fuse skip features; decoder stage 0,
+the head's hidden unit, fuses the input features before the linear classifier.
+``forward(model, cloud, mode, geometry)`` loops once down the stages and once up;
+train mode always trains the running statistics. Contrastive, regression, and
+cross-entropy objectives combine into one differentiable total.
 """
 from __future__ import annotations
 
@@ -154,88 +157,65 @@ class ForwardResult:
 
 
 def _encode_groups(unit: LinearBN, parent_pos: np.ndarray, parent_feats: ag.Tensor,
-                   geo: StageGeometry, groups: slice, mode: str,
-                   update_running: bool) -> ag.Tensor:
+                   geo: StageGeometry, groups: slice, mode: str) -> ag.Tensor:
     """The encoder unit over the neighbour rows of the stage points ``groups``, then
     the max over each point's rows: (groups, d), one ``neighborhood_max`` node."""
     nbr = geo.enc_nbr[groups]
     rel = (parent_pos[nbr] - geo.positions[groups, None, :]).reshape(-1, 3)
     inp = ag.concat_cols([ag.Tensor(rel), ag.gather_rows(parent_feats, nbr.ravel())])
     return ag.neighborhood_max(inp, unit.w, unit.b, unit.gamma, unit.beta, unit.bn,
-                               *nbr.shape, mode, update_running)
+                               *nbr.shape, mode)
 
 
-def forward(model: SegModel, cloud: PointCloud, mode: str, geometry: list[StageGeometry],
-            update_running: bool = True) -> ForwardResult:
+def forward(model: SegModel, cloud: PointCloud, mode: str,
+            geometry: list[StageGeometry]) -> ForwardResult:
     """Full network pass over the caller's ``build_geometry(cloud, cfg, with_labels=...)``.
 
-    Train mode needs the labelled geometry and also runs the regressors for the loss;
-    ``update_running`` matters only in train mode.
+    Train mode needs the labelled geometry, also runs the regressors for the loss
+    and blends its batch statistics into every unit's running statistics.
     """
     cfg = model.cfg
     f0 = cloud.features if cloud.features is not None else cloud.positions
     if f0.shape[1] != model.feat_dim0:
         raise ValueError(f"initial feature dim {f0.shape[1]} != model dim {model.feat_dim0}")
-    feats0 = ag.Tensor(f0)
 
-    # encoder
-    enc_feats: dict[int, ag.Tensor] = {}
-    parent_pos, parent_feats = cloud.positions, feats0
-    for s in range(1, cfg.stages + 1):
-        geo = geometry[s - 1]
-        unit = model.enc[s - 1]
+    # down: each stage's encoder, then its regressor on those features alone: the
+    # train pass for the loss, the infer pass (running statistics) for refinement
+    skip = [ag.Tensor(f0)]                   # skip[s]: stage s features, skip[0] the input
+    apm_train_out: dict[int, ag.Tensor] = {}
+    pred_amb: dict[int, np.ndarray] = {}
+    parent_pos = cloud.positions
+    for s, (geo, unit, block) in enumerate(zip(geometry, model.enc, model.apm), 1):
         if mode == "train":
             # batch statistics need the whole stage: one block, one graph
-            enc_feats[s] = _encode_groups(unit, parent_pos, parent_feats, geo, slice(None),
-                                          mode, update_running)
+            feats = _encode_groups(unit, parent_pos, skip[-1], geo, slice(None), mode)
         else:
             # an infer-mode unit maps each row on its own, so blocks of groups give the
             # same bits; each block keeps only its (groups, d) max
-            n_s, k_enc = geo.enc_nbr.shape
-            step = max(1, _BLOCK_ELEMS // (k_enc * max(unit.w.data.shape)))
-            enc_feats[s] = ag.Tensor(np.concatenate([
-                _encode_groups(unit, parent_pos, parent_feats, geo, slice(lo, lo + step),
-                               mode, update_running).data
-                for lo in range(0, n_s, step)]))
-        parent_pos, parent_feats = geo.positions, enc_feats[s]
-
-    # ambiguity regressors: train-mode outputs for the loss, infer-mode
-    # running-stat outputs for masked refinement
-    apm_train_out: dict[int, ag.Tensor] = {}
-    pred_amb: dict[int, np.ndarray] = {}
-    for s in range(1, cfg.stages + 1):
-        geo = geometry[s - 1]
-        block = model.apm[s - 1]
-        z_np = np.concatenate([geo.positions, enc_feats[s].data], axis=1)
+            step = max(1, _BLOCK_ELEMS // (geo.enc_nbr.shape[1] * max(unit.w.data.shape)))
+            feats = ag.Tensor(np.concatenate([
+                _encode_groups(unit, parent_pos, skip[-1], geo, slice(lo, lo + step), mode).data
+                for lo in range(0, len(geo.enc_nbr), step)]))
+        z_np = np.concatenate([geo.positions, feats.data], axis=1)
         if mode == "train":
-            if cfg.apm_detach:
-                z = ag.Tensor(z_np)
-            else:
-                z = ag.concat_cols([ag.Tensor(geo.positions), enc_feats[s]])
-            apm_train_out[s] = block_forward(z, block, mode="train",
-                                             update_running=update_running)
-        pred_amb[s] = block_forward(z_np, block, mode="infer",
-                                    update_running=False).data[:, 0]
+            z = (ag.Tensor(z_np) if cfg.apm_detach
+                 else ag.concat_cols([ag.Tensor(geo.positions), feats]))
+            apm_train_out[s] = block_forward(z, block, mode="train")
+        pred_amb[s] = block_forward(z_np, block, mode="infer").data[:, 0]
+        skip.append(feats)
+        parent_pos = geo.positions
 
-    # decoder
-    stage_feats: dict[int, ag.Tensor] = {}
-    g = refine(enc_feats[cfg.stages], pred_amb[cfg.stages],
-               geometry[cfg.stages - 1].mr_nbr, cfg)
-    stage_feats[cfg.stages] = g
-    for s in range(cfg.stages - 1, 0, -1):
-        geo_child = geometry[s]          # stage s+1 geometry holds up_idx for stage s
-        up = ag.weighted_rows(g, geo_child.up_idx, geo_child.up_w)
-        x = ag.concat_cols([up, enc_feats[s]])
-        g = model.dec[s - 1](x, mode, update_running)
-        g = refine(g, pred_amb[s], geometry[s - 1].mr_nbr, cfg)
-        stage_feats[s] = g
+    # up: unit s fuses skip[s] with stage s+1's features upsampled by geometry[s]'s rows
+    g = refine(skip[-1], pred_amb[cfg.stages], geometry[-1].mr_nbr, cfg)
+    stage_feats = {cfg.stages: g}
+    for s, unit in reversed(list(enumerate([model.head_hidden, *model.dec]))):
+        up = ag.weighted_rows(g, geometry[s].up_idx, geometry[s].up_w)
+        g = unit(ag.concat_cols([up, skip[s]]), mode)
+        if s > 0:
+            g = stage_feats[s] = refine(g, pred_amb[s], geometry[s - 1].mr_nbr, cfg)
 
-    up0 = ag.weighted_rows(g, geometry[0].up_idx, geometry[0].up_w)
-    head_in = ag.concat_cols([up0, feats0])
-    hidden = model.head_hidden(head_in, mode, update_running)
-    scores = ag.affine(hidden, model.head_w, model.head_b)
-
-    return ForwardResult(scores=scores, stage_feats=stage_feats, apm_train_out=apm_train_out,
+    return ForwardResult(scores=ag.affine(g, model.head_w, model.head_b),
+                         stage_feats=stage_feats, apm_train_out=apm_train_out,
                          pred_amb=pred_amb, geometry=geometry)
 
 

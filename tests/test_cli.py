@@ -233,7 +233,9 @@ def test_bad_config_values_exit_1_with_one_line(tmp_path, capsys):
              ("train", "cross_mask_mode=avg", "cross_mask_mode must be single or sum"),
              ("ambiguity", "beta=0", "beta must be > 0"),
              ("train", "dims=0,8", "dims widths must be >= 1"),
-             ("train", "dims=-4,8", "dims widths must be >= 1")]
+             ("train", "dims=-4,8", "dims widths must be >= 1"),
+             ("train", "seed=-1", "seed must be >= 0"),
+             ("ambiguity", "seed=-1", "seed must be >= 0")]
     for command, pair, message in cases:
         capsys.readouterr()
         assert run([command, "--in", str(cloud_path), "--out", str(tmp_path / "out"),

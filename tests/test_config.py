@@ -105,6 +105,10 @@ BAD_VALUES = [
     ("tau = -1", "tau must be > 0", None),
     ("beta = 0", "beta must be > 0", None),
     ("beta = -0.5", "beta must be > 0", None),
+    ("lr = 0", "lr must be > 0", None),
+    ("lr = -1", "lr must be > 0", None),
+    ("omega = -5", "omega must be >= 0", None),
+    ("seed = -1", "seed must be >= 0", None),
     ("stages = 0", "stages must be >= 1", None),
     ("stages = 3", "dims must list one width per stage", None),
     ("dims = 8", "dims must list one width per stage", None),

@@ -111,6 +111,25 @@ def test_forward_shapes_and_modes():
         forward(model, cloud, "test", unlabelled)
 
 
+def test_infer_forward_keeps_and_train_forward_moves_every_running_statistic():
+    cloud = small_cloud()
+    model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
+
+    def running():
+        return {name: arr.copy() for name, arr in model.named_arrays().items()
+                if name.endswith((".running_mean", ".running_var"))}
+
+    before = running()
+    # encoder, decoder, head_hidden and every regressor unit
+    assert len(before) == 2 * len(model.units())
+    forward(model, cloud, "infer", build_geometry(cloud, SMALL, with_labels=False))
+    for name, arr in running().items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+    forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
+    for name, arr in running().items():
+        assert np.all(arr != before[name]), name
+
+
 def _infer_bytes(model, cloud, geometry) -> list[bytes]:
     result = forward(model, cloud, "infer", geometry)
     return [result.scores.data.tobytes()] + [
@@ -394,8 +413,8 @@ def test_training_refines_every_stage_with_the_infer_predictions(monkeypatch):
         calls.append((len(results), x.data.copy(), pred_values, nbr, out is x, out.data.copy()))
         return out
 
-    def recording_block(z, block, mode, update_running):
-        out = block_forward(z, block, mode=mode, update_running=update_running)
+    def recording_block(z, block, mode, **kwargs):
+        out = block_forward(z, block, mode=mode, **kwargs)
         if mode == "infer":
             infer_out.append(out.data[:, 0].copy())
         return out

@@ -123,3 +123,30 @@ def test_gradcheck_joint_refines_both_stages_at_every_call(monkeypatch):
         # every forward pass refines stage 2, then stage 1, each into a new node
         assert nbr is geometry[1 - j % 2].mr_nbr
         assert not unchanged
+
+
+def test_gradcheck_joint_objective_ignores_the_running_statistics(monkeypatch):
+    # every train-mode forward blends its batch statistics into the running ones;
+    # the objective must not see them, or the central differences would drift
+    objectives, models = [], []
+
+    def recording_model(*args, **kwargs):
+        models.append(network.SegModel(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(gradcheck, "SegModel", recording_model)
+    monkeypatch.setattr(gradcheck.ag, "finite_diff_check",
+                        lambda f, params: objectives.append(f) or 0.0)
+    gradcheck.check_joint(3)
+    (f,), (model,) = objectives, models
+
+    def running_means():
+        return np.concatenate([u.bn.running_mean for u in model.units().values()])
+
+    values, means = [], [running_means()]
+    for _ in range(4):
+        values.append(f().item())
+        means.append(running_means())
+    assert len({v.hex() for v in values}) == 1
+    for a, b in zip(means, means[1:]):
+        assert not np.array_equal(a, b)
