@@ -9,7 +9,7 @@ import numpy as np
 
 from ambiseg import io as aio
 from ambiseg.ambiguity import AefConfig, ambiguity_map
-from ambiseg.cloud import SCENE_KINDS, SceneSpec, synth_scene
+from ambiseg.cloud import SCENE_KINDS, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config, apply_overrides, parse_config
 from ambiseg.margin import margin_map
 from ambiseg.metrics import breakdown, confusion, scores
@@ -108,10 +108,13 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_model(args.checkpoint)
     cloud = _read_input(args, model.num_classes)
-    pred_labels, _ = predict(model, cloud)
+    # one full-cloud search feeds the geometry's stage 1 and the ambiguity bins
+    k = min(model.cfg.k, cloud.n)
+    search = knn_all(cloud.positions, k)
+    pred_labels, _ = predict(model, cloud, search)
     cm = confusion(pred_labels, cloud.labels, cloud.num_classes)
     oa, macc, miou = scores(cm)
-    amb = ambiguity_map(cloud, AefConfig(k=min(model.cfg.k, cloud.n), beta=model.cfg.beta))
+    amb = ambiguity_map(cloud, AefConfig(k=k, beta=model.cfg.beta), search)
     table = breakdown(pred_labels, cloud.labels, amb.values, cloud.num_classes)
     rows = [("all", cloud.n, miou, macc)] + [(name, *row) for name, row in table.items()]
     aio.write_table(args.out, ["bin,count,miou,macc"], list(zip(*rows)), ",")

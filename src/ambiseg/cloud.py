@@ -10,9 +10,9 @@ from scipy.spatial import cKDTree
 # knn_query always takes its candidates from a kd-tree. Nothing in the library
 # reads this; it stays 0 for scripts that record it.
 KDTREE_CUTOFF = 0
-# Extra candidates per query beyond its width (k, then 2k, 4k, ...). Rows
-# whose k-th distance ties the candidate boundary are queried again at twice
-# the width, so the first query can stay narrow.
+# Extra candidates per query beyond its width (k, then 2k, 8k, 32k, ...). Rows
+# whose k-th distance ties the candidate boundary are queried again at a wider
+# width, so the first query can stay narrow.
 _KNN_SLACK = 4
 # Candidate entries per block of query rows: a block's (rows, candidates)
 # index and distance arrays stay at 256 KB each, whatever the query count.
@@ -151,10 +151,12 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     Ranks by (squared distance, index): ties go to the lower index. Every row
     takes ``k + _KNN_SLACK`` kd-tree candidates, whose distances are recomputed
     by the library rule and re-ranked. A row whose k-th candidate may tie a
-    point outside them is queried again the same way at widths 2k, 4k, ...
-    (each plus the slack) until it is settled or its candidates are all n
-    points; both outputs come from the pass that settled it. Each query runs in
-    blocks of rows holding about ``_BLOCK_ELEMS`` candidates.
+    point outside them is queried again the same way at width 2k, then at four
+    times the last width (8k, 32k, ...; each plus the slack) until it is
+    settled or its candidates are all n points; both outputs come from the pass
+    that settled it. A row still tied at 2k sits in a cluster of equal
+    distances, which the fourfold growth crosses in fewer passes. Each query
+    runs in blocks of rows holding about ``_BLOCK_ELEMS`` candidates.
     """
     ref = np.asarray(ref, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -176,7 +178,7 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray,
             out[r], out_d2[r] = cand[:, :k], cd2[:, :k]
             if kc < n:
                 retry.append(r[_unsettled(cd2, k)])
-        rows, width = np.concatenate(retry), 2 * width
+        rows, width = np.concatenate(retry), (2 if width == k else 4) * width
     return out, out_d2
 
 
@@ -185,30 +187,45 @@ def knn_all(positions: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return knn_query(positions, positions, k)
 
 
-def fps_indices(positions: np.ndarray, m: int) -> np.ndarray:
-    """Greedy farthest point sampling over an (n, 3) array from point 0; lowest index on ties."""
+def fps_indices(positions: np.ndarray, m: int,
+                search: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Greedy farthest point sampling over an (n, 3) array from point 0; lowest index on ties.
+
+    ``search`` is ``knn_all(positions, K)`` for any K when the caller holds it.
+    When a pick's row ends at a squared distance of at least the pick's own
+    min-distance M, the largest of all, only that row is updated: every point
+    outside the row is at least as far from the pick as the row's end, so at
+    least M, so at least its own min-distance, which ``np.minimum`` would keep.
+    The row's squared distances are the ones a full step forms, so the picks
+    are the same with or without a search.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must satisfy 1 <= m <= n={n}")
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = 0
-    # Contiguous coordinate columns and preallocated buffers: each step forms
+    # A contiguous (3, n) copy and one buffer: each full step forms
     # (dx^2 + dy^2) + dz^2 in place, the same float sequence as sq_dists.
-    cols = [np.ascontiguousarray(positions[:, j]) for j in range(3)]
+    cols = np.ascontiguousarray(positions.T)
     mind2 = sq_dists(positions, positions[0])
-    d2 = np.empty(n)
-    t = np.empty(n)
+    d = np.empty_like(cols)
+    reach = None
+    if search is not None:
+        nbrs, nbr_d2 = search
+        reach = nbr_d2[:, -1].tolist()   # each row's last squared distance
     for i in range(1, m):
-        nxt = int(np.argmax(mind2))  # argmax picks the lowest tied index
+        nxt = int(mind2.argmax())  # argmax picks the lowest tied index
         chosen[i] = nxt
-        np.subtract(cols[0], cols[0][nxt], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for c in cols[1:]:
-            np.subtract(c, c[nxt], out=t)
-            np.multiply(t, t, out=t)
-            np.add(d2, t, out=d2)
-        np.minimum(mind2, d2, out=mind2)
+        if reach is not None and reach[nxt] >= mind2[nxt]:
+            row = nbrs[nxt]
+            mind2[row] = np.minimum(mind2[row], nbr_d2[nxt])
+            continue
+        np.subtract(cols, cols[:, nxt:nxt + 1], out=d)
+        np.multiply(d, d, out=d)
+        np.add(d[0], d[1], out=d[0])
+        np.add(d[0], d[2], out=d[0])
+        np.minimum(mind2, d[0], out=mind2)
     return chosen
 
 

@@ -3,11 +3,12 @@
 The library computes ambiguity, the contrastive loss, the refinement masks and
 the ambiguity bins vectorised over whole stages; the scalar formulas here
 restate them one point at a time so tests can compare the two. ``planar_lattice``
-is the same for the planar-boundary scene's lattice, and the ``*_text`` writers
-and ``ambiguity_color`` for the per-point text outputs. ``tsum`` and ``mul`` give
-gradient tests a scalar objective without adding primitives to ``ambiseg.autograd``;
-``group_max`` and ``encoder_chain`` restate ``ag.neighborhood_max`` as the unfused
-affine -> batch norm -> ReLU -> max chain of graph nodes.
+is the same for the planar-boundary scene's lattice, ``fps_reference`` for
+farthest point sampling, and the ``*_text`` writers and ``ambiguity_color`` for
+the per-point text outputs. ``tsum`` and ``mul`` give gradient tests a scalar
+objective without adding primitives to ``ambiseg.autograd``; ``group_max`` and
+``encoder_chain`` restate ``ag.neighborhood_max`` as the unfused affine -> batch
+norm -> ReLU -> max chain of graph nodes.
 """
 import math
 
@@ -163,6 +164,18 @@ def planar_lattice(ppc, step):
     neg[:, 0] = -neg[:, 0]
     labels = np.concatenate([np.zeros(ppc, dtype=np.int64), np.ones(ppc, dtype=np.int64)])
     return np.vstack([neg, half]), labels
+
+
+def fps_reference(positions, m):
+    """Farthest point sampling from point 0, one pick at a time: each pick is the
+    lowest index among the points farthest from those already picked."""
+    chosen = [0]
+    d2 = np.sum((positions - positions[0]) ** 2, axis=1)
+    for _ in range(m - 1):
+        best = min(range(len(d2)), key=lambda j: (-d2[j], j))
+        chosen.append(best)
+        d2 = np.minimum(d2, np.sum((positions - positions[best]) ** 2, axis=1))
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def ambiguity_color(a: float) -> tuple[int, int, int]:

@@ -215,6 +215,29 @@ def test_predict_and_eval_csvs_match_the_per_row_oracle(tmp_path):
     assert "semi,0,nan,nan" in eval_path.read_text()  # an empty bin writes nan
 
 
+def test_eval_makes_one_full_cloud_neighbour_search(tmp_path, monkeypatch):
+    # eval hands its one search to the geometry's stage 1 and to the ambiguity
+    # bins; predict needs no full-cloud search and makes none
+    from ambiseg import ambiguity, network
+    from ambiseg.cloud import knn_all
+    sizes = []
+
+    def counted(pos, k):
+        sizes.append(len(pos))
+        return knn_all(pos, k)
+
+    for mod in (cli, network, ambiguity):
+        monkeypatch.setattr(mod, "knn_all", counted)
+    n = aio.read_cloud(DATA / "frozen_cloud.txt").n
+    io_args = ["--in", str(DATA / "frozen_cloud.txt"), "--checkpoint",
+               str(DATA / "frozen_model.ckpt")]
+    assert run(["eval", *io_args, "--out", str(tmp_path / "eval.csv")]) == 0
+    assert sizes.count(n) == 1 and len(sizes) == 3, sizes   # plus one per stage
+    sizes.clear()
+    assert run(["predict", *io_args, "--out", str(tmp_path / "pred.csv")]) == 0
+    assert n not in sizes and len(sizes) == 2, sizes
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambiseg import cloud as cl
+from ambiseg import network
 from ambiseg.cloud import PointCloud, SceneSpec, fps_indices, knn_all, knn_query, synth_scene
 from ambiseg.config import Config
-from ambiseg.network import build_geometry
-from oracles import planar_lattice
+from ambiseg.network import _stage_sizes, build_geometry
+from oracles import fps_reference, planar_lattice
 
 
 def brute_knn(positions, anchor, k):
@@ -197,9 +199,41 @@ def test_knn_query_duplicate_heavy_rows_reach_a_third_width(monkeypatch):
     pos = duplicate_heavy_cloud()
     assert_search_equal(knn_query(pos, pos, 20), knn_oracle(pos, pos, 20))
     rows = width_rows(calls)
-    assert list(rows) == [24, 44, 84], rows
+    assert list(rows) == [24, 44, 164], rows
     # the 61 copies, plus normal points whose 20th neighbour is among them
-    assert rows[84] > 61, rows
+    assert rows[164] > 61, rows
+
+
+def record_rank_widths(monkeypatch):
+    """Record the candidate count of every _ranked_candidates call, in call order."""
+    widths = []
+
+    def recording(tree, cols, q, kc):
+        widths.append(kc)
+        return ranked(tree, cols, q, kc)
+
+    ranked = cl._ranked_candidates
+    monkeypatch.setattr(cl, "_ranked_candidates", recording)
+    return widths
+
+
+def test_knn_query_grows_a_tie_cluster_fourfold_after_its_second_pass(monkeypatch):
+    # 2,000 copies of one point among 10,000: the copies' rows stay tied until
+    # their candidates hold the whole cluster. Growing by 2k + slack, then four
+    # times the last width, reaches it in five passes where doubling took eight.
+    widths = record_rank_widths(monkeypatch)
+    rng = np.random.default_rng(4)
+    pos = rng.normal(size=(10_000, 3))
+    pos[3000:5000] = pos[3000]
+    k, slack = 24, cl._KNN_SLACK
+    knn_all(pos, k)
+    assert list(dict.fromkeys(widths)) == [w + slack for w in (k, 2 * k, 8 * k, 32 * k, 128 * k)]
+    # a smaller cluster crosses the same widths, and its rows equal brute force
+    pos = rng.normal(size=(1500, 3))
+    pos[200:500] = pos[200]
+    widths.clear()
+    assert_search_equal(knn_all(pos, k), knn_oracle(pos, pos, k))
+    assert list(dict.fromkeys(widths)) == [w + slack for w in (k, 2 * k, 8 * k, 32 * k)]
 
 
 def test_knn_query_property_on_integer_grids(monkeypatch):
@@ -299,14 +333,52 @@ def test_build_geometry_upsampling_follows_the_tie_rule_on_noisy_rooms():
                                                     noise_sigma=0.02))
 
 
-def fps_reference(positions, m):
-    chosen = [0]
-    d2 = np.sum((positions - positions[0]) ** 2, axis=1)
-    for _ in range(m - 1):
-        best = min(range(len(d2)), key=lambda j: (-d2[j], j))
-        chosen.append(best)
-        d2 = np.minimum(d2, np.sum((positions - positions[best]) ** 2, axis=1))
-    return np.asarray(chosen, dtype=np.int64)
+def geometry_bytes(geoms):
+    """Every array of every stage as (stage, field, dtype, shape, bytes)."""
+    return [(s, f.name, a.dtype.str, a.shape, a.tobytes())
+            for s, geo in enumerate(geoms) for f in dataclasses.fields(geo)
+            if (a := getattr(geo, f.name)) is not None]
+
+
+def record_knn_queries(monkeypatch):
+    """Record build_geometry's knn_query calls as (reference rows, query rows, k)."""
+    calls = []
+
+    def recording(ref, queries, k):
+        calls.append((len(ref), len(queries), k))
+        return knn_query(ref, queries, k)
+
+    monkeypatch.setattr(network, "knn_query", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["two-rooms", "lattice", "duplicates", "three-stages"])
+def test_build_geometry_is_the_same_with_a_parent_search(case, monkeypatch):
+    cfg = Config(stages=3, dims=(8, 16, 32)) if case == "three-stages" else Config()
+    if case == "lattice":
+        cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=500))
+    elif case == "duplicates":
+        pos = duplicate_heavy_cloud()
+        cloud = PointCloud(pos, np.arange(len(pos)) % 2, 2)
+    else:
+        cloud = synth_scene(SceneSpec("two-rooms", points_per_class=300, noise_sigma=0.02))
+    calls = record_knn_queries(monkeypatch)
+    n1 = _stage_sizes(cloud.n, cfg)[0]
+    for with_labels in (False, True):
+        want = geometry_bytes(build_geometry(cloud, cfg, with_labels))
+        for k in (cfg.k, 4):
+            calls.clear()
+            got = build_geometry(cloud, cfg, with_labels, search=knn_all(cloud.positions, k))
+            assert geometry_bytes(got) == want, (case, with_labels, k)
+            # stage 1 queries its encoder rows only when the search is too narrow,
+            # and its upsampling rows only where they cannot be read from it
+            enc1 = [c for c in calls if c == (cloud.n, n1, cfg.k)]
+            up1 = [m for ref, m, kq in calls if (ref, kq) == (n1, 3)]
+            assert len(enc1) == (k < cfg.k), calls
+            assert len(up1) <= 1 and (k < cfg.k or sum(up1) < cloud.n), calls
+            if case == "lattice" and k == cfg.k:
+                # about half of the tied lattice rows fall back, the rest are read
+                assert cloud.n // 4 < up1[0] < cloud.n, calls
 
 
 def test_fps_matches_reference():
@@ -317,6 +389,25 @@ def test_fps_matches_reference():
     # tie-heavy lattice: equal distances must resolve to the same lowest index
     lattice = synth_scene(SceneSpec("planar-boundary", points_per_class=60)).positions
     np.testing.assert_array_equal(fps_indices(lattice, 40), fps_reference(lattice, 40))
+
+
+def integer_cloud(n, extent, seed, copies):
+    """n points on the integer grid [0, extent]^3, then ``copies`` more of point 0:
+    distances tie everywhere and duplicates stay at distance 0."""
+    pos = np.random.default_rng(seed).integers(0, extent + 1, size=(n, 3)).astype(np.float64)
+    return np.vstack([pos, np.repeat(pos[:1], copies, axis=0)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 120), extent=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       copies=st.sampled_from([0, 0, 3, 30]), m_frac=st.floats(0.0, 1.0))
+def test_fps_with_a_search_matches_the_full_steps_and_the_oracle(n, extent, seed, copies, m_frac):
+    pos = integer_cloud(n, extent, seed, copies)
+    m = 1 + int(m_frac * (pos.shape[0] - 1))
+    want = fps_reference(pos, m)
+    np.testing.assert_array_equal(fps_indices(pos, m), want)
+    for k in sorted({min(k, pos.shape[0]) for k in (1, 2, 8, pos.shape[0])}):
+        np.testing.assert_array_equal(fps_indices(pos, m, knn_all(pos, k)), want)
 
 
 def test_fps_tie_prefers_lowest_index():
