@@ -60,7 +60,7 @@ class PointCloud:
         # every pairwise sq_dists. Past it, kd-tree distances overflow and
         # queries return the missing-neighbour index n.
         with np.errstate(over="ignore"):
-            diag2 = sq_dists(pos.max(axis=0), pos.min(axis=0))
+            diag2 = sq_dists(pos.max(axis=0) - pos.min(axis=0))
         if not np.isfinite(diag2):
             raise ValueError("positions are too far apart: squared distances overflow")
         object.__setattr__(self, "positions", _readonly(pos))
@@ -94,54 +94,39 @@ class SceneSpec:
             raise ValueError("noise_sigma must be >= 0")
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between broadcast point arrays (..., 3) by the library rule.
+def sq_dists(d: np.ndarray) -> np.ndarray:
+    """Squared lengths ``(dx^2 + dy^2) + dz^2`` of a (3, ...) array of
+    differences, formed in place in ``d``; returns ``d[0]``. This is the float
+    sequence of ``np.sum(d ** 2, axis=0)``, so every neighbour search, the
+    sampling and their test oracles rank by identical values."""
+    np.multiply(d, d, out=d)
+    s = d[0, ...]
+    np.add(s, d[1], out=s)
+    return np.add(s, d[2], out=s)
 
-    The coordinate terms are summed left to right, ``(dx^2 + dy^2) + dz^2``,
-    which is the float sequence ``np.sum(d ** 2, axis=-1)`` produces, so every
-    neighbour search and its test oracles rank by identical values.
-    """
-    d = np.asarray(a) - np.asarray(b)
-    return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+
+def _rank_keys(d2: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Complex keys ``d2 + 1j * idx`` that sort in (squared distance, index)
+    order: numpy orders complex numbers by real part, then imaginary part. The
+    distances are +inf or finite and at least +0; indices below 2**53 are exact."""
+    key = np.empty(np.shape(d2), dtype=complex)
+    key.real, key.imag = d2, idx
+    return key
 
 
 def _ranked_candidates(tree, cols, q: np.ndarray, kc: int) -> tuple[np.ndarray, np.ndarray]:
     """The tree's ``kc`` candidates for each row of ``q``, ranked by (squared
-    distance from ``sq_dists``, index), with those distances."""
+    distance from ``sq_dists``, index), with those distances. ``cols`` is
+    the reference cloud as a (3, n) array."""
     # One thread on purpose: threaded queries (workers=-1) lost end to end
     # on a 2-core host, competing with the BLAS threads of the forward pass.
     _, cand = tree.query(q, k=kc)
     cand = cand.reshape(q.shape[0], kc)
-    # (dx^2 + dy^2) + dz^2 column by column, the float sequence of sq_dists
-    cd2 = np.take(cols[0], cand)
-    cd2 -= q[:, 0:1]
-    cd2 *= cd2
-    t = np.empty_like(cd2)
-    for j in (1, 2):
-        np.take(cols[j], cand, out=t)
-        t -= q[:, j:j + 1]
-        t *= t
-        cd2 += t
-    # The indices in a row are distinct, so a row already in (distance,
-    # index) order is exactly what the lexsort would return.
-    prev, nxt = cd2[:, :-1], cd2[:, 1:]
-    disordered = (nxt < prev) | ((nxt == prev) & (cand[:, 1:] < cand[:, :-1]))
-    bad = np.flatnonzero(disordered.any(axis=1))
-    if bad.size:
-        order = np.lexsort((cand[bad], cd2[bad]), axis=1)
-        cand[bad] = np.take_along_axis(cand[bad], order, axis=1)
-        cd2[bad] = np.take_along_axis(cd2[bad], order, axis=1)
-    return cand, cd2
-
-
-def _unsettled(cd2: np.ndarray, k: int) -> np.ndarray:
-    """Rows whose top k may miss a point outside their candidates.
-
-    The tree ranks by its own rounding of the distance. Points outside the
-    candidates are at least as far as the last one up to that rounding, so the
-    top k are settled only when the k-th distance stays clearly below it.
-    """
-    return np.flatnonzero(cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9))
+    d = np.take(cols, cand, axis=1)
+    d -= q.T[:, :, None]
+    key = _rank_keys(sq_dists(d), cand)
+    key.sort(axis=1)
+    return key.imag.astype(np.int64), key.real
 
 
 def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +151,7 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     out = np.empty((m, k), dtype=np.int64)
     out_d2 = np.empty((m, k))
     tree = cKDTree(ref)
-    cols = [np.ascontiguousarray(ref[:, j]) for j in range(3)]
+    cols = np.ascontiguousarray(ref.T)
     rows, width = np.arange(m), k
     while rows.size:
         kc = min(width + _KNN_SLACK, n)
@@ -177,7 +162,9 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray,
             cand, cd2 = _ranked_candidates(tree, cols, queries[r], kc)
             out[r], out_d2[r] = cand[:, :k], cd2[:, :k]
             if kc < n:
-                retry.append(r[_unsettled(cd2, k)])
+                # points outside the candidates are at least as far as the last one
+                # up to the tree's own rounding, so a k-th distance near it is unsettled
+                retry.append(r[cd2[:, k - 1] >= cd2[:, -1] * (1.0 - 1e-9)])
         rows, width = np.concatenate(retry), (2 if width == k else 4) * width
     return out, out_d2
 
@@ -185,6 +172,38 @@ def knn_query(ref: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray,
 def knn_all(positions: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, k) ``knn_query`` of every point against its own cloud: indices, squared distances."""
     return knn_query(positions, positions, k)
+
+
+def knn_sampled(positions: np.ndarray, idx: np.ndarray, k: int,
+                search: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``knn_query(positions[idx], positions, k)``: each point's k nearest sampled
+    points, as indices into ``idx``, and their squared distances.
+
+    ``search`` is ``knn_all(positions, K)`` for any K when the caller holds it.
+    A row's sampled entries, ranked by (squared distance, index into ``idx``),
+    are the query's row when the k-th of them is strictly nearer than the row's
+    last entry: every point outside the row is at least that far. Every other
+    row is queried, and so is every row of a search narrower than k.
+    """
+    n = positions.shape[0]
+    out = np.empty((n, k), dtype=np.int64)
+    out_d2 = np.empty((n, k))
+    rest = np.arange(n)
+    if search is not None and search[0].shape[1] >= k:
+        nbrs, nbr_d2 = search
+        stage = np.full(n, -1)
+        stage[idx] = np.arange(idx.size)
+        key = _rank_keys(nbr_d2, stage[nbrs])
+        key[key.imag < 0] = np.inf            # entries not sampled rank last
+        key.partition(range(k), axis=1)       # each row's first k in order
+        key = key[:, :k]
+        read = key[:, -1].real < nbr_d2[:, -1]
+        out[read], out_d2[read] = key.imag[read], key.real[read]
+        rest = np.flatnonzero(~read)
+    if rest.size:
+        out[rest], out_d2[rest] = knn_query(positions[idx], positions[rest], k)
+    return out, out_d2
 
 
 def fps_indices(positions: np.ndarray, m: int,
@@ -205,10 +224,9 @@ def fps_indices(positions: np.ndarray, m: int,
         raise ValueError(f"m={m} must satisfy 1 <= m <= n={n}")
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = 0
-    # A contiguous (3, n) copy and one buffer: each full step forms
-    # (dx^2 + dy^2) + dz^2 in place, the same float sequence as sq_dists.
+    # A contiguous (3, n) copy and one buffer for each full step's sq_dists
     cols = np.ascontiguousarray(positions.T)
-    mind2 = sq_dists(positions, positions[0])
+    mind2 = sq_dists(cols - cols[:, :1])
     d = np.empty_like(cols)
     reach = None
     if search is not None:
@@ -222,10 +240,7 @@ def fps_indices(positions: np.ndarray, m: int,
             mind2[row] = np.minimum(mind2[row], nbr_d2[nxt])
             continue
         np.subtract(cols, cols[:, nxt:nxt + 1], out=d)
-        np.multiply(d, d, out=d)
-        np.add(d[0], d[1], out=d[0])
-        np.add(d[0], d[2], out=d[0])
-        np.minimum(mind2, d[0], out=mind2)
+        np.minimum(mind2, sq_dists(d), out=mind2)
     return chosen
 
 

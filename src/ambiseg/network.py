@@ -4,14 +4,14 @@ Encoder stages downsample by farthest point sampling and aggregate neighbor
 features with a shared MLP + max pool: one ``ag.neighborhood_max`` node (affine,
 batch norm, ReLU, then the max over each point's K rows) per stage in train mode,
 one per block of groups in infer mode. Decoder stages upsample by 3-NN
-inverse-squared-distance interpolation: ``cloud.knn_query``'s (squared
-distance, index) rule picks the three coarse points, the squared distances it
-ranks by weight them. They fuse skip features; decoder stage 0,
-the head's hidden unit, fuses the input features before the linear classifier.
-``build_geometry`` reads each stage's sampling, encoder rows and upsampling rows
-from its parent's ``knn_all`` where that gives the same bits: the caller's
-full-cloud search for stage 1 (``ambiseg eval`` passes the one it makes for the
-ambiguity bins), the previous stage's own search after that.
+inverse-squared-distance interpolation: ``cloud.knn_sampled`` picks the three
+coarse points, the squared distances it ranks by weight them. They fuse skip
+features; decoder stage 0, the head's hidden unit, fuses the input features
+before the linear classifier. ``build_geometry`` reads each stage's sampling,
+encoder rows and upsampling rows from its parent's ``knn_all`` where that gives
+the same bits: the caller's full-cloud search for stage 1 (``ambiseg eval``
+passes the one it makes for the ambiguity bins), the previous stage's own
+search after that. Every tie rule stays in ``cloud``.
 ``forward(model, cloud, mode, geometry)`` loops once down the stages and once up;
 train mode always trains the running statistics. Contrastive, regression, and
 cross-entropy objectives combine into one differentiable total.
@@ -26,7 +26,7 @@ import numpy as np
 from ambiseg import autograd as ag
 from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.apm import LinearBN, block_forward, glorot_uniform, init_apm_block, loss_reg
-from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query
+from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query, knn_sampled
 from ambiseg.config import Config
 from ambiseg.margin import margin_map
 from ambiseg.refine import refine
@@ -117,48 +117,6 @@ def _stage_sizes(n0: int, cfg: Config) -> list[int]:
     return sizes
 
 
-def _upsample_rows(parent_pos: np.ndarray, pos: np.ndarray, idx: np.ndarray, k_up: int,
-                   parent_search: tuple[np.ndarray, np.ndarray] | None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``knn_query(pos, parent_pos, k_up)`` for the stage points ``pos = parent_pos[idx]``.
-
-    A parent row of ``parent_search`` lists its sampled points by (squared
-    distance, parent index). Its first ``k_up`` are the query's row, in stage
-    indices, when they and the next sampled entry, or the row's last entry if
-    there is none, have strictly increasing distances: every other stage point
-    is then strictly farther than the ``k_up``-th, and no tie is left for the
-    parent and stage index orders to break differently. Every other row is
-    queried.
-    """
-    n_p = parent_pos.shape[0]
-    up_idx = np.empty((n_p, k_up), dtype=np.int64)
-    up_d2 = np.empty((n_p, k_up))
-    todo = np.ones(n_p, dtype=bool)
-    if parent_search is not None:
-        nbrs, nbr_d2 = parent_search
-        stage_of = np.full(n_p, -1)
-        stage_of[idx] = np.arange(idx.size)
-        st = stage_of[nbrs]
-        r, c = np.nonzero(st >= 0)                 # sampled entries, row by row
-        count = np.bincount(r, minlength=n_p)
-        end = np.cumsum(count)
-        rows = np.flatnonzero(count >= k_up)
-        at = (end - count)[rows, None] + np.arange(k_up + 1)
-        # each row's first k_up + 1 sampled entries; its last entry stands in for
-        # a missing (k_up + 1)-th, which lies at least that far
-        cols = np.where(at < end[rows, None], c[np.minimum(at, r.size - 1)], nbrs.shape[1] - 1)
-        d2 = nbr_d2[rows[:, None], cols]
-        ok = np.all(d2[:, 1:] > d2[:, :-1], axis=1)
-        rows, cols = rows[ok], cols[ok, :k_up]
-        up_idx[rows] = st[rows[:, None], cols]
-        up_d2[rows] = d2[ok, :k_up]
-        todo[rows] = False
-    rest = np.flatnonzero(todo)
-    if rest.size:
-        up_idx[rest], up_d2[rest] = knn_query(pos, parent_pos[rest], k_up)
-    return up_idx, up_d2
-
-
 def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool,
                    search: tuple[np.ndarray, np.ndarray] | None = None) -> list[StageGeometry]:
     """Static per-cloud structure: sampling, neighborhoods, ambiguities, margins.
@@ -184,7 +142,7 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool,
         else:
             enc_nbr, _ = knn_query(parent_pos, pos, k_enc)
         # 3-NN inverse-squared-distance interpolation weights
-        up_idx, up_d2 = _upsample_rows(parent_pos, pos, idx, min(3, n_s), parent_search)
+        up_idx, up_d2 = knn_sampled(parent_pos, idx, min(3, n_s), parent_search)
         inv = 1.0 / np.maximum(up_d2, 1e-12)
         up_w = inv / inv.sum(axis=1, keepdims=True)
         kt = min(cfg.k_tilde, n_s)

@@ -100,6 +100,28 @@ def test_knn_kdtree_path_agrees_with_brute():
     np.testing.assert_array_equal(got, expected)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 8), width=st.integers(1, 40), levels=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), top=st.sampled_from([40, 2**20, 2**53 - 1]))
+def test_ranked_keys_follow_the_distance_then_index_order(rows, width, levels, seed, top):
+    # few distinct squared distances, +0, the smallest subnormal and +inf among
+    # them, so most entries tie; distinct shuffled indices up to 2**53 - 1
+    rng = np.random.default_rng(seed)
+    d2 = rng.choice([0.0, 5e-324, 1.0, 2.5, np.inf][:levels + 1], size=(rows, width))
+    idx = np.stack([rng.choice(top, width, replace=False) for _ in range(rows)])
+    idx[:, 0] = top
+    order = np.lexsort((idx, d2), axis=1)
+    want_idx, want_d2 = np.take_along_axis(idx, order, 1), np.take_along_axis(d2, order, 1)
+    key = cl._rank_keys(d2, idx)
+    key.sort(axis=1)
+    # a partition puts each row's first j in the same order
+    first = cl._rank_keys(d2, idx)
+    first.partition(range(j := (width + 1) // 2), axis=1)
+    for got, cols in ((key, slice(None)), (first[:, :j], slice(j))):
+        np.testing.assert_array_equal(got.imag.astype(np.int64), want_idx[:, cols])
+        assert got.real.tobytes() == np.ascontiguousarray(want_d2[:, cols]).tobytes()
+
+
 def test_knn_validation():
     pos = np.zeros((5, 3))
     with pytest.raises(ValueError):
@@ -341,7 +363,8 @@ def geometry_bytes(geoms):
 
 
 def record_knn_queries(monkeypatch):
-    """Record build_geometry's knn_query calls as (reference rows, query rows, k)."""
+    """Record the knn_query calls of build_geometry and of the cloud functions it
+    calls as (reference rows, query rows, k)."""
     calls = []
 
     def recording(ref, queries, k):
@@ -349,6 +372,7 @@ def record_knn_queries(monkeypatch):
         return knn_query(ref, queries, k)
 
     monkeypatch.setattr(network, "knn_query", recording)
+    monkeypatch.setattr(cl, "knn_query", recording)
     return calls
 
 
@@ -377,8 +401,9 @@ def test_build_geometry_is_the_same_with_a_parent_search(case, monkeypatch):
             assert len(enc1) == (k < cfg.k), calls
             assert len(up1) <= 1 and (k < cfg.k or sum(up1) < cloud.n), calls
             if case == "lattice" and k == cfg.k:
-                # about half of the tied lattice rows fall back, the rest are read
-                assert cloud.n // 4 < up1[0] < cloud.n, calls
+                # ties among the sampled entries are ranked, so few tied lattice
+                # rows fall back
+                assert sum(up1) < cloud.n // 20, calls
 
 
 def test_fps_matches_reference():
@@ -408,6 +433,33 @@ def test_fps_with_a_search_matches_the_full_steps_and_the_oracle(n, extent, seed
     np.testing.assert_array_equal(fps_indices(pos, m), want)
     for k in sorted({min(k, pos.shape[0]) for k in (1, 2, 8, pos.shape[0])}):
         np.testing.assert_array_equal(fps_indices(pos, m, knn_all(pos, k)), want)
+
+
+def test_knn_sampled_reads_the_query_rows_from_a_search(monkeypatch):
+    calls = record_knn_queries(monkeypatch)
+    read = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 120), extent=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           copies=st.sampled_from([0, 0, 3, 30]), m_frac=st.floats(0.0, 1.0))
+    def check(n, extent, seed, copies, m_frac):
+        pos = integer_cloud(n, extent, seed, copies)
+        n = pos.shape[0]
+        idx = np.random.default_rng(seed).permutation(n)[:1 + int(m_frac * (n - 1))]
+        k_up = min(3, idx.size)
+        want = knn_query(pos[idx], pos, k_up)
+        for k in sorted({min(k, n) for k in (1, 2, 3, 4, 24, n)}):
+            search = knn_all(pos, k)
+            calls.clear()
+            assert_search_equal(cl.knn_sampled(pos, idx, k_up, search), want)
+            queried = sum(m for _, m, _ in calls)
+            if k < k_up:
+                # a search narrower than k_up is not read at all
+                assert queried == n, (k, k_up, calls)
+            read.append(n - queried)
+
+    check()
+    assert sum(read) > 0
 
 
 def test_fps_tie_prefers_lowest_index():
