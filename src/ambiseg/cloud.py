@@ -57,11 +57,12 @@ class PointCloud:
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite (found NaN or inf)")
         # Rounding is monotone, so the bounding box's squared diagonal bounds
-        # every pairwise sq_dists. Past it, kd-tree distances overflow and
-        # queries return the missing-neighbour index n.
+        # every pairwise sq_dists, and n times it bounds a row's sum of them
+        # (ambiguity_map's closeness sums). Past an infinite diagonal, kd-tree
+        # distances overflow and queries return the missing-neighbour index n.
         with np.errstate(over="ignore"):
-            diag2 = sq_dists(pos.max(axis=0) - pos.min(axis=0))
-        if not np.isfinite(diag2):
+            row_sum_bound = n * sq_dists(pos.max(axis=0) - pos.min(axis=0))
+        if not np.isfinite(row_sum_bound):
             raise ValueError("positions are too far apart: squared distances overflow")
         object.__setattr__(self, "positions", _readonly(pos))
         object.__setattr__(self, "labels", _readonly(lab))

@@ -73,7 +73,7 @@ def check_joint(seed: int) -> float:
                  epsilon_lo=0.0, gamma=0.5, apm_detach=False)
     cloud = _tiny_cloud(rng)
     model = SegModel(cfg, feat_dim0=3, num_classes=2)
-    geometry = build_geometry(cloud, cfg, with_labels=True)
+    geometry = build_geometry(cloud, cfg)
 
     def f():
         result = forward(model, cloud, mode="train", geometry=geometry)

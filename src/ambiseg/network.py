@@ -7,11 +7,13 @@ one per block of groups in infer mode. Decoder stages upsample by 3-NN
 inverse-squared-distance interpolation: ``cloud.knn_sampled`` picks the three
 coarse points, the squared distances it ranks by weight them. They fuse skip
 features; decoder stage 0, the head's hidden unit, fuses the input features
-before the linear classifier. ``build_geometry`` reads each stage's sampling,
-encoder rows and upsampling rows from its parent's ``knn_all`` where that gives
-the same bits: the caller's full-cloud search for stage 1 (``ambiseg eval``
-passes the one it makes for the ambiguity bins), the previous stage's own
-search after that. Every tie rule stays in ``cloud``.
+before the linear classifier. ``build_geometry`` gives training and inference
+one geometry: each stage's labels, its one ``knn_all`` at ``max(k_tilde, k)``,
+its ambiguities and margins. It reads each stage's sampling, encoder rows and
+upsampling rows from its parent's ``knn_all`` where that gives the same bits:
+the caller's full-cloud search for stage 1 (``ambiseg eval`` passes the one it
+makes for the ambiguity bins), the previous stage's own search after that.
+Every tie rule stays in ``cloud``.
 ``forward(model, cloud, mode, geometry)`` loops once down the stages and once up;
 train mode always trains the running statistics. Contrastive, regression, and
 cross-entropy objectives combine into one differentiable total.
@@ -50,15 +52,15 @@ class LossReport:
 class StageGeometry:
     indices: np.ndarray          # into the parent stage's point list
     positions: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray           # inherited from each sampled point's source point
     enc_nbr: np.ndarray          # (n_s, K_enc) neighbor rows in the parent stage
     up_idx: np.ndarray           # (n_parent, 3) nearest stage points per parent point
     up_w: np.ndarray             # (n_parent, 3) inverse-distance upsample weights
     mr_nbr: np.ndarray           # (n_s, k_tilde - 1) kNN rows minus column 0 (see refine)
-    ambiguities: np.ndarray | None = None
-    margins: np.ndarray | None = None
-    nbr_matrix: np.ndarray | None = None   # (n_s, K_aef) for the contrast loss
-    intra_mask: np.ndarray | None = None
+    ambiguities: np.ndarray
+    margins: np.ndarray
+    nbr_matrix: np.ndarray       # (n_s, K_aef) for the contrast loss
+    intra_mask: np.ndarray
 
 
 class SegModel:
@@ -117,25 +119,23 @@ def _stage_sizes(n0: int, cfg: Config) -> list[int]:
     return sizes
 
 
-def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool,
+def build_geometry(cloud: PointCloud, cfg: Config,
                    search: tuple[np.ndarray, np.ndarray] | None = None) -> list[StageGeometry]:
     """Static per-cloud structure: sampling, neighborhoods, ambiguities, margins.
 
-    ``search`` is ``knn_all(cloud.positions, K)`` when the caller holds it. Each
-    stage reads its sampling, encoder rows and upsampling rows from its parent's
-    search where it can: stage 1 from ``search``, every later stage from the
-    previous stage's own ``knn_all``. The output is the same with or without it.
+    Training and inference build the same geometry; only training reads its
+    labels, ambiguities, margins and contrast rows. ``search`` is
+    ``knn_all(cloud.positions, K)`` when the caller holds it. Each stage reads
+    its sampling, encoder rows and upsampling rows from its parent's search
+    where it can: stage 1 from ``search``, every later stage from the previous
+    stage's own ``knn_all``. The output is the same with or without it.
     """
     sizes = _stage_sizes(cloud.n, cfg)
     geoms: list[StageGeometry] = []
-    parent_pos = cloud.positions
-    parent_lab = cloud.labels if with_labels else None
-    parent_search = search
-    for s in range(1, cfg.stages + 1):
-        n_s = sizes[s - 1]
+    parent_pos, parent_lab, parent_search = cloud.positions, cloud.labels, search
+    for n_s in sizes:
         idx = fps_indices(parent_pos, n_s, parent_search)
-        pos = parent_pos[idx]
-        lab = parent_lab[idx] if parent_lab is not None else None   # inherited labels
+        pos, lab = parent_pos[idx], parent_lab[idx]
         k_enc = min(cfg.k, parent_pos.shape[0])
         if parent_search is not None and parent_search[0].shape[1] >= k_enc:
             enc_nbr = parent_search[0][idx, :k_enc]    # a knn_all row is its knn_query row
@@ -144,21 +144,18 @@ def build_geometry(cloud: PointCloud, cfg: Config, with_labels: bool,
         # 3-NN inverse-squared-distance interpolation weights
         up_idx, up_d2 = knn_sampled(parent_pos, idx, min(3, n_s), parent_search)
         inv = 1.0 / np.maximum(up_d2, 1e-12)
-        up_w = inv / inv.sum(axis=1, keepdims=True)
         kt = min(cfg.k_tilde, n_s)
         k_aef = min(cfg.k, n_s)
         # under the tie rule the first columns of a wider search are the narrower one
-        nbrs, nbr_d2 = knn_all(pos, max(kt, k_aef) if lab is not None else kt)
-        geo = StageGeometry(indices=idx, positions=pos, labels=lab,
-                            enc_nbr=enc_nbr, up_idx=up_idx, up_w=up_w, mr_nbr=nbrs[:, 1:kt])
-        if lab is not None:
-            stage_cloud = PointCloud(pos, lab, cloud.num_classes)
-            geo.nbr_matrix = nbrs[:, :k_aef]
-            geo.ambiguities = ambiguity_map(stage_cloud, AefConfig(k=k_aef, beta=cfg.beta),
-                                            (geo.nbr_matrix, nbr_d2[:, :k_aef])).values
-            geo.margins = margin_map(geo.ambiguities, cfg.mu, cfg.nu)
-            geo.intra_mask = lab[geo.nbr_matrix] == lab[:, None]
-        geoms.append(geo)
+        nbrs, nbr_d2 = knn_all(pos, max(kt, k_aef))
+        nbr = nbrs[:, :k_aef]
+        amb = ambiguity_map(PointCloud(pos, lab, cloud.num_classes),
+                            AefConfig(k=k_aef, beta=cfg.beta), (nbr, nbr_d2[:, :k_aef])).values
+        geoms.append(StageGeometry(
+            indices=idx, positions=pos, labels=lab, enc_nbr=enc_nbr, up_idx=up_idx,
+            up_w=inv / inv.sum(axis=1, keepdims=True), mr_nbr=nbrs[:, 1:kt],
+            ambiguities=amb, margins=margin_map(amb, cfg.mu, cfg.nu), nbr_matrix=nbr,
+            intra_mask=lab[nbr] == lab[:, None]))
         parent_pos, parent_lab, parent_search = pos, lab, (nbrs, nbr_d2)
     return geoms
 
@@ -185,10 +182,10 @@ def _encode_groups(unit: LinearBN, parent_pos: np.ndarray, parent_feats: ag.Tens
 
 def forward(model: SegModel, cloud: PointCloud, mode: str,
             geometry: list[StageGeometry]) -> ForwardResult:
-    """Full network pass over the caller's ``build_geometry(cloud, cfg, with_labels=...)``.
+    """Full network pass over the caller's ``build_geometry(cloud, cfg)``.
 
-    Train mode needs the labelled geometry, also runs the regressors for the loss
-    and blends its batch statistics into every unit's running statistics.
+    Train mode also runs the regressors for the loss and blends its batch
+    statistics into every unit's running statistics.
     """
     cfg = model.cfg
     f0 = cloud.features if cloud.features is not None else cloud.positions
@@ -279,7 +276,7 @@ def train(model: SegModel, clouds: list[PointCloud],
         raise ValueError("training dataset must be non-empty")
     params = model.parameters()
     velocity = [np.zeros_like(p.data) for p in params]
-    geometries = [build_geometry(c, cfg, with_labels=True) for c in clouds]
+    geometries = [build_geometry(c, cfg) for c in clouds]
     history: list[LossReport] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
@@ -310,7 +307,7 @@ def predict(model: SegModel, cloud: PointCloud,
     ``search`` is ``knn_all(cloud.positions, K)`` when the caller holds it; see
     ``build_geometry``.
     """
-    geometry = build_geometry(cloud, model.cfg, with_labels=False, search=search)
+    geometry = build_geometry(cloud, model.cfg, search)
     result = forward(model, cloud, mode="infer", geometry=geometry)
     labels = np.argmax(result.scores.data, axis=1)  # argmax tie -> lowest class
     amb = result.pred_amb[1][geometry[0].up_idx[:, 0]]  # nearest stage-1 point

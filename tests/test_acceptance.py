@@ -158,7 +158,7 @@ def test_criterion_05_gradient_suite():
 
 def test_criterion_06_toy_overfit(overfit_run):
     cloud, cfg, model, history, elapsed = overfit_run
-    geometry = build_geometry(cloud, cfg, with_labels=True)
+    geometry = build_geometry(cloud, cfg)
     result = forward(model, cloud, mode="infer", geometry=geometry)
     pred = np.argmax(result.scores.data, axis=1)
     oa = float((pred == cloud.labels).mean())
@@ -174,7 +174,7 @@ def _ambiguous_bin_accuracy(seed, mu, nu):
     cfg = dataclasses.replace(Config(seed=seed), mu=mu, nu=nu, epochs=60)
     model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
     train(model, [cloud], steps_per_epoch=4)
-    geometry = build_geometry(cloud, cfg, with_labels=True)
+    geometry = build_geometry(cloud, cfg)
     result = forward(model, cloud, mode="infer", geometry=geometry)
     pred = np.argmax(result.scores.data, axis=1)
     amb = ambiguity_map(cloud, AefConfig(k=cfg.k, beta=cfg.beta)).values
@@ -202,7 +202,7 @@ def test_criterion_08_ambiguity_fraction_monotone_in_k():
 
 def test_criterion_09_apm_regression(overfit_run):
     cloud, cfg, model, _, _ = overfit_run
-    geometry = build_geometry(cloud, cfg, with_labels=True)
+    geometry = build_geometry(cloud, cfg)
     result = forward(model, cloud, mode="infer", geometry=geometry)
     feats = result.stage_feats[1].data.copy()
     z = np.concatenate([geometry[0].positions, feats], axis=1)

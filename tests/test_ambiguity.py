@@ -40,7 +40,7 @@ def test_partition_covers_neighborhood():
     rng = np.random.default_rng(0)
     c = PointCloud(rng.normal(size=(400, 3)), rng.integers(0, 3, 400), 3)
     cfg = Config(k=8, k_tilde=4, dims=(6, 8), stages=2)
-    for geo in build_geometry(c, cfg, with_labels=True):
+    for geo in build_geometry(c, cfg):
         n_s = geo.positions.shape[0]
         assert geo.nbr_matrix.shape == (n_s, cfg.k)
         # distinct random points: each anchor is its own zero-distance neighbour, intra

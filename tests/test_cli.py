@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -403,19 +404,29 @@ def test_eval_with_sparse_class_ids_counts_only_the_present_classes(tmp_path):
     assert (tmp_path / "eval.csv").read_text().startswith("bin,count,miou,macc\nall,60,")
 
 
-@pytest.mark.parametrize("command", ["ambiguity", "predict"])
+@pytest.mark.parametrize("command", ["ambiguity", "predict", "eval"])
 def test_overflowing_squared_distances_exit_1_with_one_line(tmp_path, capsys, command):
-    extra = ["--checkpoint", str(FROZEN_CKPT)] if command == "predict" else []
+    extra = ["--checkpoint", str(FROZEN_CKPT)] if command != "ambiguity" else []
     far, wide = tmp_path / "far.txt", tmp_path / "wide.txt"
     far.write_text("1e160 0 0 0\n0 0 0 0\n0 1 0 1\n0 0 1 1\n1 1 1 0\n")
     wide.write_text("1e150 1e150 -1e150 0\n-1e150 1e150 1e150 1\n1e150 -1e150 1e150 0\n"
                     "-1e150 -1e150 -1e150 1\n0 0 0 0\n1e150 1e150 1e150 1\n")
+    # 20 points at x = 0 and 20 at x = gap: each squared distance is finite, but at
+    # 1.3e154 (1.7e308 each) a row's sum of two is not; at 2e153 a sum of 40 is
+    sums, fits = tmp_path / "sums.txt", tmp_path / "fits.txt"
+    for path, gap in ((sums, 1.3e154), (fits, 2.0e153)):
+        path.write_text("".join(f"{gap * (i >= 20)!r} {0.001 * i!r} 0 {i % 2}\n"
+                                for i in range(40)))
     capsys.readouterr()
-    assert run([command, "--in", str(far), "--out", str(tmp_path / "o1")] + extra) \
-        == cli.EXIT_USAGE
-    err = _one_error_line(capsys)
-    assert "squared distances overflow" in err and "Traceback" not in err
-    assert not (tmp_path / "o1").exists()
-    assert run([command, "--in", str(wide), "--out", str(tmp_path / "o2")] + extra) \
-        == cli.EXIT_OK
-    assert (tmp_path / "o2").exists()
+    for path in (far, sums):
+        out = tmp_path / f"{path.stem}.out"
+        assert run([command, "--in", str(path), "--out", str(out)] + extra) == cli.EXIT_USAGE
+        err = _one_error_line(capsys)
+        assert "squared distances overflow" in err and "Traceback" not in err
+        assert not out.exists()
+    for path in (wide, fits):
+        out = tmp_path / f"{path.stem}.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # an overflow warning fails the command
+            assert run([command, "--in", str(path), "--out", str(out)] + extra) == cli.EXIT_OK
+        assert out.exists()

@@ -338,7 +338,7 @@ def check_upsampling_follows_the_tie_rule(spec):
     distance weights of the gathered positions."""
     cloud = synth_scene(spec)
     parent = cloud.positions
-    for geo in build_geometry(cloud, Config(), with_labels=False):
+    for geo in build_geometry(cloud, Config()):
         np.testing.assert_array_equal(geo.up_idx, knn_oracle(geo.positions, parent, 3)[0])
         d2 = np.sum((geo.positions[geo.up_idx] - parent[:, None, :]) ** 2, axis=2)
         inv = 1.0 / np.maximum(d2, 1e-12)
@@ -359,7 +359,7 @@ def geometry_bytes(geoms):
     """Every array of every stage as (stage, field, dtype, shape, bytes)."""
     return [(s, f.name, a.dtype.str, a.shape, a.tobytes())
             for s, geo in enumerate(geoms) for f in dataclasses.fields(geo)
-            if (a := getattr(geo, f.name)) is not None]
+            for a in [getattr(geo, f.name)]]
 
 
 def record_knn_queries(monkeypatch):
@@ -387,23 +387,31 @@ def test_build_geometry_is_the_same_with_a_parent_search(case, monkeypatch):
     else:
         cloud = synth_scene(SceneSpec("two-rooms", points_per_class=300, noise_sigma=0.02))
     calls = record_knn_queries(monkeypatch)
-    n1 = _stage_sizes(cloud.n, cfg)[0]
-    for with_labels in (False, True):
-        want = geometry_bytes(build_geometry(cloud, cfg, with_labels))
-        for k in (cfg.k, 4):
-            calls.clear()
-            got = build_geometry(cloud, cfg, with_labels, search=knn_all(cloud.positions, k))
-            assert geometry_bytes(got) == want, (case, with_labels, k)
-            # stage 1 queries its encoder rows only when the search is too narrow,
-            # and its upsampling rows only where they cannot be read from it
-            enc1 = [c for c in calls if c == (cloud.n, n1, cfg.k)]
-            up1 = [m for ref, m, kq in calls if (ref, kq) == (n1, 3)]
-            assert len(enc1) == (k < cfg.k), calls
-            assert len(up1) <= 1 and (k < cfg.k or sum(up1) < cloud.n), calls
-            if case == "lattice" and k == cfg.k:
-                # ties among the sampled entries are ranked, so few tied lattice
-                # rows fall back
-                assert sum(up1) < cloud.n // 20, calls
+    sizes = _stage_sizes(cloud.n, cfg)
+    parents = [cloud.n] + sizes[:-1]
+    want = geometry_bytes(build_geometry(cloud, cfg))
+    for k in (cfg.k, 4):
+        calls.clear()
+        got = build_geometry(cloud, cfg, search=knn_all(cloud.positions, k))
+        assert geometry_bytes(got) == want, (case, k)
+        for s, (n_parent, n_s) in enumerate(zip(parents, sizes), start=1):
+            # a stage queries its encoder rows only when its parent's search is too
+            # narrow, so only stage 1 under a narrow caller's search; its upsampling
+            # rows only where they cannot be read from that search
+            enc = [c for c in calls if c == (n_parent, n_s, min(cfg.k, n_parent))]
+            up = [m for ref, m, kq in calls if (ref, kq) == (n_s, 3)]
+            assert len(enc) == (s == 1 and k < cfg.k), (s, calls)
+            assert len(up) <= 1, (s, calls)
+            if s == 1:
+                assert k < cfg.k or sum(up) < cloud.n, calls
+            else:
+                # the parent stage searched max(k_tilde, k) wide
+                assert sum(up) < n_parent // 10, (s, calls)
+        if case == "lattice" and k == cfg.k:
+            # ties among the sampled entries are ranked, so few tied lattice
+            # rows fall back
+            assert sum(m for ref, m, kq in calls if (ref, kq) == (sizes[0], 3)) \
+                < cloud.n // 20, calls
 
 
 def test_fps_matches_reference():

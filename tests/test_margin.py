@@ -136,7 +136,7 @@ def test_loss_seg_blend():
     cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=60, noise_sigma=0.02))
     cfg = Config(k=8, k_tilde=4, dims=(6, 8), stages=2, lam=0.25)
     model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
-    result = forward(model, cloud, "train", build_geometry(cloud, cfg, with_labels=True))
+    result = forward(model, cloud, "train", build_geometry(cloud, cfg))
     _, report = loss_joint(model, result, cloud.labels)
     assert report.l_seg == pytest.approx(0.25 * report.l_ce + 0.75 * sum(report.l_am), rel=1e-12)
     with pytest.raises(ConfigError):

@@ -33,7 +33,7 @@ def test_stage_sizes():
 
 def test_build_geometry_shapes():
     cloud = small_cloud()
-    geoms = build_geometry(cloud, SMALL, with_labels=True)
+    geoms = build_geometry(cloud, SMALL)
     sizes = _stage_sizes(cloud.n, SMALL)
     parent_n, parent_labels = cloud.n, cloud.labels
     for geo, n_s in zip(geoms, sizes):
@@ -64,9 +64,14 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
 
     monkeypatch.setattr(network, "knn_all", counted)
     monkeypatch.setattr(ambiguity, "knn_all", counted)
-    geoms = build_geometry(cloud, cfg, with_labels=True)
-    # one search per stage: ambiguity_map reuses the stage's neighbour matrix
-    assert calls == [cfg.k] * cfg.stages
+    geoms = build_geometry(cloud, cfg)
+    # one search per stage, k_tilde and k wide at once: ambiguity_map reuses the
+    # stage's neighbour matrix, and a caller's search changes no stage's own
+    want = [max(min(cfg.k_tilde, n), min(cfg.k, n)) for n in _stage_sizes(cloud.n, cfg)]
+    assert calls == want
+    calls.clear()
+    build_geometry(cloud, cfg, search=knn_all(cloud.positions, cfg.k))
+    assert calls == want
     for geo in geoms:
         n_s = geo.positions.shape[0]
         np.testing.assert_array_equal(geo.mr_nbr, knn_all(geo.positions, cfg.k_tilde)[0][:, 1:])
@@ -74,12 +79,6 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
         own_search = ambiguity_map(PointCloud(geo.positions, geo.labels, cloud.num_classes),
                                    AefConfig(k=min(cfg.k, n_s), beta=cfg.beta))
         np.testing.assert_array_equal(geo.ambiguities, own_search.values)
-    # the unlabelled path (predict, eval) searches only k_tilde
-    calls.clear()
-    unlabelled = build_geometry(cloud, cfg, with_labels=False)
-    assert calls == [cfg.k_tilde] * cfg.stages
-    for geo, labelled in zip(unlabelled, geoms):
-        np.testing.assert_array_equal(geo.mr_nbr, labelled.mr_nbr)
 
 
 def test_build_geometry_memory_stays_linear_in_n():
@@ -90,7 +89,7 @@ def test_build_geometry_memory_stays_linear_in_n():
                                   noise_sigma=0.02, seed=0))
     tracemalloc.start()
     try:
-        build_geometry(cloud, Config(), with_labels=True)
+        build_geometry(cloud, Config())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -100,15 +99,15 @@ def test_build_geometry_memory_stays_linear_in_n():
 def test_forward_shapes_and_modes():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    out = forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
+    geometry = build_geometry(cloud, SMALL)
+    out = forward(model, cloud, "train", geometry)
     assert out.scores.data.shape == (cloud.n, cloud.num_classes)
     assert set(out.apm_train_out) == {1, 2}
-    unlabelled = build_geometry(cloud, SMALL, with_labels=False)
-    infer = forward(model, cloud, "infer", unlabelled)
+    infer = forward(model, cloud, "infer", geometry)
     assert not infer.apm_train_out
     assert set(infer.pred_amb) == {1, 2}
     with pytest.raises(ValueError, match="unknown mode 'test'"):
-        forward(model, cloud, "test", unlabelled)
+        forward(model, cloud, "test", geometry)
 
 
 def test_infer_forward_keeps_and_train_forward_moves_every_running_statistic():
@@ -122,10 +121,11 @@ def test_infer_forward_keeps_and_train_forward_moves_every_running_statistic():
     before = running()
     # encoder, decoder, head_hidden and every regressor unit
     assert len(before) == 2 * len(model.units())
-    forward(model, cloud, "infer", build_geometry(cloud, SMALL, with_labels=False))
+    geometry = build_geometry(cloud, SMALL)
+    forward(model, cloud, "infer", geometry)
     for name, arr in running().items():
         np.testing.assert_array_equal(arr, before[name], err_msg=name)
-    forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
+    forward(model, cloud, "train", geometry)
     for name, arr in running().items():
         assert np.all(arr != before[name]), name
 
@@ -142,7 +142,7 @@ def test_infer_forward_does_not_depend_on_the_block_size(monkeypatch):
     model = SegModel(dataclasses.replace(SMALL, epochs=3), feat_dim0=3,
                      num_classes=cloud.num_classes)
     train(model, [cloud])   # running statistics away from their (0, 1) start
-    geometry = build_geometry(cloud, SMALL, with_labels=False)
+    geometry = build_geometry(cloud, SMALL)
     n_s, k_enc = geometry[0].enc_nbr.shape
     per_group = k_enc * max(model.enc[0].w.data.shape)   # elements of one stage-1 group
     assert n_s % 7 != 0
@@ -159,7 +159,7 @@ def test_infer_forward_memory_is_bounded_by_the_block(monkeypatch):
     cloud = synth_scene(SceneSpec("two-rooms", points_per_class=700, noise_sigma=0.02, seed=1))
     cfg = Config()
     model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
-    geometry = build_geometry(cloud, cfg, with_labels=False)
+    geometry = build_geometry(cloud, cfg)
 
     def peak() -> int:
         tracemalloc.start()
@@ -181,7 +181,7 @@ def test_train_step_memory_keeps_one_array_per_encoder_unit():
     cloud = synth_scene(SceneSpec("two-rooms", points_per_class=1000, noise_sigma=0.02, seed=0))
     cfg = Config()
     model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
-    geometry = build_geometry(cloud, cfg, with_labels=True)
+    geometry = build_geometry(cloud, cfg)
     tracemalloc.start()
     try:
         total, _ = loss_joint(model, forward(model, cloud, "train", geometry), cloud.labels)
@@ -195,7 +195,7 @@ def test_train_step_memory_keeps_one_array_per_encoder_unit():
 def test_regressor_input_is_position_first(monkeypatch):
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    geometry = build_geometry(cloud, SMALL, with_labels=True)
+    geometry = build_geometry(cloud, SMALL)
     original, inputs = network.block_forward, []
 
     def recording(z, block, **kwargs):
@@ -214,13 +214,13 @@ def test_forward_rejects_wrong_feature_width():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=5, num_classes=2)
     with pytest.raises(ValueError):
-        forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
+        forward(model, cloud, "train", build_geometry(cloud, SMALL))
 
 
 def test_loss_report_is_consistent():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    result = forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
+    result = forward(model, cloud, "train", build_geometry(cloud, SMALL))
     total, report = loss_joint(model, result, cloud.labels)
     blend = SMALL.lam * report.l_ce + (1 - SMALL.lam) * sum(report.l_am)
     assert report.l_seg == pytest.approx(blend, rel=1e-12)
@@ -234,7 +234,7 @@ def _train_graph(cfg: Config) -> Counter:
     cloud = synth_scene(SceneSpec("planar-boundary", points_per_class=100,
                                   noise_sigma=0.0, seed=0))
     model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
-    geometry = build_geometry(cloud, cfg, with_labels=True)
+    geometry = build_geometry(cloud, cfg)
     total, _ = loss_joint(model, forward(model, cloud, mode="train", geometry=geometry),
                           cloud.labels)
     counts: Counter = Counter()
@@ -286,7 +286,7 @@ def test_training_reduces_loss_and_is_deterministic():
 def test_parameter_gradients_are_owned_arrays_of_the_parameter_shape():
     cloud = small_cloud()
     model = SegModel(SMALL, feat_dim0=3, num_classes=cloud.num_classes)
-    result = forward(model, cloud, "train", build_geometry(cloud, SMALL, with_labels=True))
+    result = forward(model, cloud, "train", build_geometry(cloud, SMALL))
     total, _ = loss_joint(model, result, cloud.labels)
     ag.backward(total)
     params = [p for p in model.parameters() if p.grad is not None]
@@ -385,7 +385,7 @@ def test_refinement_blend_changes_features_when_band_covers_predictions(monkeypa
     cloud = small_cloud()
     cfg_all = dataclasses.replace(SMALL, epsilon_lo=0.0, gamma=0.5)
     model = SegModel(cfg_all, feat_dim0=3, num_classes=cloud.num_classes)
-    geo = build_geometry(cloud, cfg_all, with_labels=True)
+    geo = build_geometry(cloud, cfg_all)
     with_mr = forward(model, cloud, mode="infer", geometry=geo)
     with monkeypatch.context() as mp:
         mp.setattr(network, "refine", lambda x, *args: x)
@@ -394,7 +394,7 @@ def test_refinement_blend_changes_features_when_band_covers_predictions(monkeypa
     # gamma = 0 leaves features bit-identical to the unrefined pass
     cfg_off = dataclasses.replace(cfg_all, gamma=0.0)
     model_off = SegModel(cfg_off, feat_dim0=3, num_classes=cloud.num_classes)
-    geo_off = build_geometry(cloud, cfg_off, with_labels=True)
+    geo_off = build_geometry(cloud, cfg_off)
     a = forward(model_off, cloud, mode="infer", geometry=geo_off)
     with monkeypatch.context() as mp:
         mp.setattr(network, "refine", lambda x, *args: x)
@@ -457,7 +457,7 @@ def test_coincident_stage_points_get_identical_features_and_predictions(cfg):
     positions = np.tile(np.random.default_rng(0).normal(size=(100, 3)), (5, 1))
     cloud = PointCloud(positions, np.zeros(500, dtype=np.int64), 2)
     model = SegModel(cfg, feat_dim0=3, num_classes=2)
-    geometry = build_geometry(cloud, cfg, with_labels=False)
+    geometry = build_geometry(cloud, cfg)
     result = forward(model, cloud, "infer", geometry)
     stage1 = geometry[0]
     assert (stage1.mr_nbr == np.arange(stage1.positions.shape[0])[:, None]).any()
