@@ -369,16 +369,16 @@ def contrast_loss(features: Tensor, nbr: np.ndarray, intra: np.ndarray,
 
 
 def weighted_rows(x: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
-    """out_i = sum_h weights_{i,h} * x_{idx_{i,h}} with constant weights."""
-    idx = np.asarray(idx, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    out = np.einsum("nh,nhd->nd", w, x.data[idx])
+    """out_i = sum_h weights_{i,h} * x_{idx_{i,h}} with constant weights: one
+    ``_row_operator`` S, applied as ``S @ x`` forward and ``S.T @ g`` backward."""
+    op = _row_operator(np.asarray(idx, dtype=np.int64),
+                       np.asarray(weights, dtype=np.float64), x.data.shape[0])
 
     def bwd(g):
         if x.requires_grad:
-            x._accum(_row_operator(idx, w, x.data.shape[0]).T @ g)
+            x._accum(op.T @ g)
 
-    return Tensor(out, parents=(x,), backward=bwd)
+    return Tensor(op @ x.data, parents=(x,), backward=bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ def cmd_synth(args) -> int:
 def cmd_ambiguity(args) -> int:
     cfg = _load_config(args)
     cloud = _read_input(args)
-    amb = ambiguity_map(cloud, AefConfig(k=min(cfg.k, cloud.n), beta=cfg.beta))
+    search = knn_all(cloud.positions, min(cfg.k, cloud.n))
+    amb = ambiguity_map(cloud.labels, search, AefConfig(beta=cfg.beta))
     margins = margin_map(amb.values, cfg.mu, cfg.nu)
     # With --ply both files print the positions: format them once. The CSV alone is
     # faster formatting its floats itself.
@@ -109,12 +110,11 @@ def cmd_eval(args) -> int:
     model = _load_model(args.checkpoint)
     cloud = _read_input(args, model.num_classes)
     # one full-cloud search feeds the geometry's stage 1 and the ambiguity bins
-    k = min(model.cfg.k, cloud.n)
-    search = knn_all(cloud.positions, k)
+    search = knn_all(cloud.positions, min(model.cfg.k, cloud.n))
     pred_labels, _ = predict(model, cloud, search)
     cm = confusion(pred_labels, cloud.labels, cloud.num_classes)
     oa, macc, miou = scores(cm)
-    amb = ambiguity_map(cloud, AefConfig(k=k, beta=model.cfg.beta), search)
+    amb = ambiguity_map(cloud.labels, search, AefConfig(beta=model.cfg.beta))
     table = breakdown(pred_labels, cloud.labels, amb.values, cloud.num_classes)
     rows = [("all", cloud.n, miou, macc)] + [(name, *row) for name, row in table.items()]
     aio.write_table(args.out, ["bin,count,miou,macc"], list(zip(*rows)), ",")

@@ -91,8 +91,8 @@ class SceneSpec:
             raise ValueError(f"unknown scene kind {self.kind!r}, expected one of {SCENE_KINDS}")
         if self.points_per_class < 8:
             raise ValueError("points_per_class must be >= 8")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and >= 0")
 
 
 def sq_dists(d: np.ndarray) -> np.ndarray:

@@ -149,8 +149,7 @@ def build_geometry(cloud: PointCloud, cfg: Config,
         # under the tie rule the first columns of a wider search are the narrower one
         nbrs, nbr_d2 = knn_all(pos, max(kt, k_aef))
         nbr = nbrs[:, :k_aef]
-        amb = ambiguity_map(PointCloud(pos, lab, cloud.num_classes),
-                            AefConfig(k=k_aef, beta=cfg.beta), (nbr, nbr_d2[:, :k_aef])).values
+        amb = ambiguity_map(lab, (nbr, nbr_d2[:, :k_aef]), AefConfig(beta=cfg.beta)).values
         geoms.append(StageGeometry(
             indices=idx, positions=pos, labels=lab, enc_nbr=enc_nbr, up_idx=up_idx,
             up_w=inv / inv.sum(axis=1, keepdims=True), mr_nbr=nbrs[:, 1:kt],

@@ -67,16 +67,15 @@ def brute_ambiguity_oracle(positions, labels, k, beta, dup_epsilon=1e-9):
 
 
 def test_criterion_01_ambiguity_oracle_equivalence():
-    cfg = AefConfig()
+    cfg, k = AefConfig(), Config().k
     start = time.perf_counter()
     exact = differing = max_ulp = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         cloud = PointCloud(rng.uniform(0, 4, size=(1000, 3)),
                            rng.integers(0, 3, 1000), 3)
-        got = ambiguity_map(cloud, cfg).values
-        expected = brute_ambiguity_oracle(cloud.positions, cloud.labels,
-                                          cfg.k, cfg.beta)
+        got = ambiguity_map(cloud.labels, knn_all(cloud.positions, k), cfg).values
+        expected = brute_ambiguity_oracle(cloud.positions, cloud.labels, k, cfg.beta)
         exact += int(np.array_equal(got, expected))
         # ambiguities are non-negative, so their int64 bit patterns are
         # ordered like the values and differ by the ulp distance
@@ -94,13 +93,12 @@ def test_criterion_02_ambiguity_spot_values():
     # point 0 of this cloud: cc+ = 2 / 1 = 2 and cc- = 2 / (4 + 4) = 0.25
     spot = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 2]]),
                       np.array([0, 0, 1, 1]), 2)
-    a = ambiguity_map(spot, AefConfig(k=4, beta=0.04)).values[0]
+    a = ambiguity_map(spot.labels, knn_all(spot.positions, 4), AefConfig(beta=0.04)).values[0]
     spot_ok = abs(a - 1.0 / (1.0 + math.exp(0.07))) <= 1e-12
     # constructed neighborhoods for both saturation branches
     pos = np.vstack([np.linspace(0, 1, 8)[:, None] @ np.ones((1, 3)), [[0.01, 0, 0]]])
-    pure = ambiguity_map(PointCloud(pos, np.zeros(9, dtype=int), 1), AefConfig(k=5))
-    lonely_labels = np.array([0] * 8 + [1])
-    lonely = ambiguity_map(PointCloud(pos, lonely_labels, 2), AefConfig(k=5))
+    pure = ambiguity_map(np.zeros(9, dtype=int), knn_all(pos, 5), AefConfig())
+    lonely = ambiguity_map(np.array([0] * 8 + [1]), knn_all(pos, 5), AefConfig())
     branch_ok = np.all(pure.values == 0.0) and lonely.values[8] == 1.0
     report(2, "ambiguity spot values", spot_ok and branch_ok,
            f"a={a!r}")
@@ -177,7 +175,8 @@ def _ambiguous_bin_accuracy(seed, mu, nu):
     geometry = build_geometry(cloud, cfg)
     result = forward(model, cloud, mode="infer", geometry=geometry)
     pred = np.argmax(result.scores.data, axis=1)
-    amb = ambiguity_map(cloud, AefConfig(k=cfg.k, beta=cfg.beta)).values
+    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, cfg.k),
+                        AefConfig(beta=cfg.beta)).values
     mask = amb > 0
     return 100.0 * float((pred[mask] == cloud.labels[mask]).mean())
 
@@ -193,7 +192,8 @@ def test_criterion_07_adaptive_beats_constant_margin():
 
 def test_criterion_08_ambiguity_fraction_monotone_in_k():
     cloud = toy_scene(seed=0)
-    fractions = [float((ambiguity_map(cloud, AefConfig(k=k)).values > 0).mean())
+    fractions = [float((ambiguity_map(cloud.labels, knn_all(cloud.positions, k),
+                                      AefConfig()).values > 0).mean())
                  for k in (12, 18, 24, 30)]
     ok = all(a <= b for a, b in zip(fractions, fractions[1:]))
     report(8, "ambiguity fraction non-decreasing in K", ok,
@@ -262,7 +262,7 @@ def test_criterion_11_cli_round_trip(tmp_path):
     assert cli.main(["ambiguity", "--in", str(scene), "--out", str(csv_out),
                      "--ply", str(ply_out)]) == 0
     cloud = aio.read_cloud(scene)
-    amb = ambiguity_map(cloud, AefConfig()).values
+    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k), AefConfig()).values
     # the per-vertex oracle fixes every position string and every colour byte
     ply_ok = ply_out.read_bytes() == ply_text(cloud.positions, amb).encode()
 

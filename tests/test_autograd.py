@@ -204,6 +204,27 @@ def test_weighted_rows():
     np.testing.assert_allclose(out.data, np.einsum("nh,nhd->nd", w, x.data[idx]))
     assert check(lambda: tsum(mul(ag.weighted_rows(x, idx, w),
                                         ag.weighted_rows(x, idx, w))), [x]) <= 1e-7
+    # byte for byte the per-row gather and einsum, over -0.0 entries, zero weights
+    # and repeated indices; at d = 1 einsum reorders the sum over h, so there the
+    # oracle is the sum in column order
+    for d in (1, 2, 16):
+        xs = rng.normal(size=(7, d))
+        xs[rng.random(size=xs.shape) < 0.3] = -0.0
+        xs[2] = -0.0
+        idx = rng.integers(0, 7, size=(40, 4))
+        idx[:5] = 2
+        idx[5:10, 1:] = idx[5:10, :1]
+        w = rng.uniform(-1.0, 1.0, size=(40, 4))
+        w[rng.random(size=w.shape) < 0.3] = 0.0
+        w[rng.random(size=w.shape) < 0.1] = -0.0
+        got = ag.weighted_rows(ag.Tensor(xs), idx, w).data
+        if d > 1:
+            want = np.einsum("nh,nhd->nd", w, xs[idx])
+        else:
+            want = np.zeros((40, d))
+            for h in range(4):
+                want += w[:, h, None] * xs[idx[:, h]]
+        assert got.tobytes() == want.tobytes(), d
 
 
 def with_self_column(nbr, self_coef, nbr_weights):

@@ -9,7 +9,7 @@ import pytest
 from ambiseg import cli
 from ambiseg import io as aio
 from ambiseg.ambiguity import AefConfig, ambiguity_map
-from ambiseg.cloud import PointCloud
+from ambiseg.cloud import PointCloud, knn_all
 from ambiseg.config import Config
 from ambiseg.margin import margin_map
 from oracles import ambiguity_csv_text, eval_csv_text, ply_text, predict_csv_text
@@ -44,7 +44,8 @@ def test_synth_and_ambiguity_pipeline(tmp_path):
     assert lines[0] == "index,x,y,z,ambiguity,margin"
     assert len(lines) == 161
     cloud = aio.read_cloud(cloud_path)
-    amb = ambiguity_map(cloud, AefConfig(k=Config().k, beta=Config().beta)).values
+    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k),
+                        AefConfig(beta=Config().beta)).values
     assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
 
 
@@ -57,7 +58,8 @@ def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
     assert run(["ambiguity", "--in", str(cloud_path), "--out", str(csv_path),
                 "--ply", str(ply_path)]) == 0
     cloud = aio.read_cloud(cloud_path)
-    amb = ambiguity_map(cloud, AefConfig(k=Config().k, beta=Config().beta)).values
+    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k),
+                        AefConfig(beta=Config().beta)).values
     margins = margin_map(amb, Config().mu, Config().nu)
     assert csv_path.read_bytes() == ambiguity_csv_text(cloud, amb, margins).encode()
     assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
@@ -68,6 +70,15 @@ def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
 def test_bad_scene_kind_is_usage_error(tmp_path):
     assert run(["synth", "--kind", "mars-base", "--out", str(tmp_path / "x.txt")]) \
         == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_noise_sigma_is_usage_error(tmp_path, capsys, sigma):
+    out = tmp_path / "scene.txt"
+    assert run(["synth", "--kind", "two-rooms", "--noise-sigma", sigma,
+                "--out", str(out)]) == cli.EXIT_USAGE
+    assert "noise_sigma must be finite and >= 0" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_missing_input_is_usage_error(tmp_path):
@@ -210,7 +221,8 @@ def test_predict_and_eval_csvs_match_the_per_row_oracle(tmp_path):
     labels, amb = predict(model, cloud)
     assert pred_path.read_bytes() == predict_csv_text(labels, amb).encode()
     _, macc, miou = scores(confusion(labels, cloud.labels, cloud.num_classes))
-    a = ambiguity_map(cloud, AefConfig(k=model.cfg.k, beta=model.cfg.beta)).values
+    a = ambiguity_map(cloud.labels, knn_all(cloud.positions, model.cfg.k),
+                      AefConfig(beta=model.cfg.beta)).values
     table = breakdown(labels, cloud.labels, a, cloud.num_classes)
     assert eval_path.read_bytes() == eval_csv_text(cloud.n, miou, macc, table).encode()
     assert "semi,0,nan,nan" in eval_path.read_text()  # an empty bin writes nan
@@ -219,7 +231,7 @@ def test_predict_and_eval_csvs_match_the_per_row_oracle(tmp_path):
 def test_eval_makes_one_full_cloud_neighbour_search(tmp_path, monkeypatch):
     # eval hands its one search to the geometry's stage 1 and to the ambiguity
     # bins; predict needs no full-cloud search and makes none
-    from ambiseg import ambiguity, network
+    from ambiseg import network
     from ambiseg.cloud import knn_all
     sizes = []
 
@@ -227,7 +239,7 @@ def test_eval_makes_one_full_cloud_neighbour_search(tmp_path, monkeypatch):
         sizes.append(len(pos))
         return knn_all(pos, k)
 
-    for mod in (cli, network, ambiguity):
+    for mod in (cli, network):
         monkeypatch.setattr(mod, "knn_all", counted)
     n = aio.read_cloud(DATA / "frozen_cloud.txt").n
     io_args = ["--in", str(DATA / "frozen_cloud.txt"), "--checkpoint",

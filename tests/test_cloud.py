@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -491,8 +492,9 @@ def test_scene_spec_validation():
         SceneSpec("no-such-kind")
     with pytest.raises(ValueError):
         SceneSpec("two-rooms", points_per_class=4)
-    with pytest.raises(ValueError):
-        SceneSpec("two-rooms", noise_sigma=-0.1)
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            SceneSpec("two-rooms", noise_sigma=sigma)
 
 
 def test_synth_scene_deterministic():

@@ -7,7 +7,7 @@ import pytest
 
 from ambiseg import autograd as ag
 from ambiseg import io as aio
-from ambiseg import ambiguity, network
+from ambiseg import network
 from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.apm import block_forward
 from ambiseg.cloud import PointCloud, SceneSpec, knn_all, synth_scene
@@ -63,7 +63,6 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
         return knn_all(pos, k)
 
     monkeypatch.setattr(network, "knn_all", counted)
-    monkeypatch.setattr(ambiguity, "knn_all", counted)
     geoms = build_geometry(cloud, cfg)
     # one search per stage, k_tilde and k wide at once: ambiguity_map reuses the
     # stage's neighbour matrix, and a caller's search changes no stage's own
@@ -76,8 +75,8 @@ def test_one_neighbour_search_equals_the_two_separate_ones(noise, monkeypatch):
         n_s = geo.positions.shape[0]
         np.testing.assert_array_equal(geo.mr_nbr, knn_all(geo.positions, cfg.k_tilde)[0][:, 1:])
         np.testing.assert_array_equal(geo.nbr_matrix, knn_all(geo.positions, min(cfg.k, n_s))[0])
-        own_search = ambiguity_map(PointCloud(geo.positions, geo.labels, cloud.num_classes),
-                                   AefConfig(k=min(cfg.k, n_s), beta=cfg.beta))
+        own_search = ambiguity_map(geo.labels, knn_all(geo.positions, min(cfg.k, n_s)),
+                                   AefConfig(beta=cfg.beta))
         np.testing.assert_array_equal(geo.ambiguities, own_search.values)
 
 
