@@ -18,7 +18,8 @@ _KNN_SLACK = 4
 # index and distance arrays stay at 256 KB each, whatever the query count.
 _BLOCK_ELEMS = 1 << 15
 
-SCENE_KINDS = ("two-rooms", "planar-boundary", "checker-columns")
+# Lattice spacing of the planar-boundary scene; the first slab sits at +-step/2.
+PLANAR_STEP = 0.2
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -245,12 +246,13 @@ def fps_indices(positions: np.ndarray, m: int,
     return chosen
 
 
-def _planar_lattice(ppc: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Two classes on opposite sides of the x=0 plane, mirrored cubic lattice."""
+def _planar_lattice(ppc: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two classes on opposite sides of the x=0 plane, mirrored cubic lattice
+    of spacing ``PLANAR_STEP``; draws nothing from ``rng``."""
     side = max(2, math.ceil(ppc ** (1.0 / 3.0)))
     i, rest = np.divmod(np.arange(ppc), side * side)   # x slab, then y-major within it
     iy, iz = np.divmod(rest, side)
-    half = np.column_stack([(i + 0.5) * step, iy * step, iz * step])
+    half = np.column_stack([i + 0.5, iy, iz]) * PLANAR_STEP
     positions = np.vstack([half * [-1.0, 1.0, 1.0], half])
     return positions, np.repeat(np.arange(2, dtype=np.int64), ppc)
 
@@ -266,42 +268,30 @@ def _two_rooms(ppc: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 
 def _checker_columns(ppc: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """4x4 grid of vertical columns, class = cell parity."""
-    cells = [(i, j) for i in range(4) for j in range(4)]
-    positions = np.zeros((2 * ppc, 3), dtype=np.float64)
-    labels = np.empty(2 * ppc, dtype=np.int64)
-    per_class_cells = {0: [c for c in cells if (c[0] + c[1]) % 2 == 0],
-                       1: [c for c in cells if (c[0] + c[1]) % 2 == 1]}
-    row = 0
-    for cls in (0, 1):
-        cols = per_class_cells[cls]
-        for t in range(ppc):
-            ci, cj = cols[t % len(cols)]
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            rad = 0.3 * np.sqrt(rng.uniform())
-            h = rng.uniform(0.0, 2.0)
-            positions[row] = (ci + 0.5 + rad * np.cos(ang), cj + 0.5 + rad * np.sin(ang), h)
-            labels[row] = cls
-            row += 1
+    """4x4 grid of vertical columns of radius 0.3, class = cell parity. A class's
+    t-th point sits in its (t mod 8)-th cell, its cells in row-major order; each
+    point draws its angle, radius and height in that order."""
+    u = rng.random((2 * ppc, 3))
+    ang, rad = 2.0 * np.pi * u[:, 0], 0.3 * np.sqrt(u[:, 1])
+    labels = np.repeat(np.arange(2, dtype=np.int64), ppc)
+    cell = np.tile(np.arange(ppc) % 8, 2)
+    ci = cell // 2
+    cj = 2 * (cell % 2) + (ci + labels) % 2
+    positions = np.column_stack([ci + 0.5 + rad * np.cos(ang), cj + 0.5 + rad * np.sin(ang),
+                                 2.0 * u[:, 2]])
     return positions, labels
+
+
+# Scene kind -> generator of (positions, labels) from (points per class, rng).
+_SCENES = {"two-rooms": _two_rooms, "planar-boundary": _planar_lattice,
+           "checker-columns": _checker_columns}
+SCENE_KINDS = tuple(_SCENES)
 
 
 def synth_scene(spec: SceneSpec) -> PointCloud:
     """Deterministic labeled scene with known class boundaries."""
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "planar-boundary":
-        positions, labels = _planar_lattice(spec.points_per_class, step=PLANAR_STEP)
-        num_classes = 2
-    elif spec.kind == "two-rooms":
-        positions, labels = _two_rooms(spec.points_per_class, rng)
-        num_classes = 3
-    else:
-        positions, labels = _checker_columns(spec.points_per_class, rng)
-        num_classes = 2
+    positions, labels = _SCENES[spec.kind](spec.points_per_class, rng)
     if spec.noise_sigma > 0:
         positions = positions + rng.normal(0.0, spec.noise_sigma, size=positions.shape)
-    return PointCloud(positions, labels, num_classes)
-
-
-# Lattice spacing of the planar-boundary scene; the first slab sits at +-step/2.
-PLANAR_STEP = 0.2
+    return PointCloud(positions, labels, int(labels.max()) + 1)

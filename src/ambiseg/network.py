@@ -106,6 +106,8 @@ class SegModel:
             src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {src.shape} vs {arr.shape}")
+            if not np.isfinite(src).all():
+                raise ValueError(f"checkpoint array {name} is not finite")
             arr[...] = src
 
 
@@ -295,6 +297,11 @@ def train(model: SegModel, clouds: list[PointCloud],
                         v += p.grad
                         p.data -= lr * v
                 last_report = report
+        # Running batch-norm statistics never reach the loss: check what a checkpoint holds.
+        blown = next((name for name, a in model.named_arrays().items()
+                      if not np.isfinite(a).all()), None)
+        if blown:
+            raise RuntimeError(f"training diverged at epoch {epoch}: {blown} is not finite")
         history.append(last_report)
     return history
 

@@ -3,7 +3,8 @@
 The library computes ambiguity, the contrastive loss, the refinement masks and
 the ambiguity bins vectorised over whole stages; the scalar formulas here
 restate them one point at a time so tests can compare the two. ``planar_lattice``
-is the same for the planar-boundary scene's lattice, ``fps_reference`` for
+and ``checker_columns`` are the same for the planar-boundary and checker-columns
+scenes, ``fps_reference`` for
 farthest point sampling, and the ``*_text`` writers and ``ambiguity_color`` for
 the per-point text outputs. ``tsum`` and ``mul`` give gradient tests a scalar
 objective without adding primitives to ``ambiseg.autograd``; ``group_max`` and
@@ -164,6 +165,26 @@ def planar_lattice(ppc, step):
     neg[:, 0] = -neg[:, 0]
     labels = np.concatenate([np.zeros(ppc, dtype=np.int64), np.ones(ppc, dtype=np.int64)])
     return np.vstack([neg, half]), labels
+
+
+def checker_columns(ppc, rng):
+    """The checker-columns scene one point at a time: three uniform draws per point
+    (angle, radius, height), each class cycling through its cells of the 4x4 grid."""
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    positions = np.zeros((2 * ppc, 3), dtype=np.float64)
+    labels = np.empty(2 * ppc, dtype=np.int64)
+    row = 0
+    for cls in (0, 1):
+        cols = [c for c in cells if (c[0] + c[1]) % 2 == cls]
+        for t in range(ppc):
+            ci, cj = cols[t % len(cols)]
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            rad = 0.3 * np.sqrt(rng.uniform())
+            h = rng.uniform(0.0, 2.0)
+            positions[row] = (ci + 0.5 + rad * np.cos(ang), cj + 0.5 + rad * np.sin(ang), h)
+            labels[row] = cls
+            row += 1
+    return positions, labels
 
 
 def fps_reference(positions, m):

@@ -379,6 +379,24 @@ def test_corrupt_checkpoint_counts_exit_1_before_building_the_model(tmp_path, ca
         assert peak < 16 * 2 ** 20, (key, peak)
 
 
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_non_finite_checkpoint_array_exits_1_naming_it(tmp_path, capsys, command):
+    cloud_path, ckpt, bad = tmp_path / "scene.txt", tmp_path / "model.ckpt", tmp_path / "bad.ckpt"
+    run(["synth", "--kind", "planar-boundary", "--points-per-class", "40",
+         "--out", str(cloud_path)])
+    assert run(["train", "--in", str(cloud_path), "--out", str(ckpt)] + TINY) == 0
+    cfg, arrays, extra = aio.load_checkpoint(ckpt)
+    for name, value in (("apm1.l0.running_var", np.inf), ("head.w", np.nan)):
+        aio.save_checkpoint(bad, cfg, arrays | {name: np.full_like(arrays[name], value)},
+                            extra=extra)
+        out = tmp_path / f"{name}.csv"
+        capsys.readouterr()
+        assert run([command, "--in", str(cloud_path), "--checkpoint", str(bad),
+                    "--out", str(out)]) == cli.EXIT_USAGE, name
+        assert _one_error_line(capsys) == f"error: checkpoint array {name} is not finite\n"
+        assert not out.exists()
+
+
 def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     # A 2-point cloud labelled 2**40 sizes a 128 TiB head. The stand-in raises
     # numpy's error for it, so nothing is allocated.

@@ -12,7 +12,7 @@ from ambiseg import network
 from ambiseg.cloud import PointCloud, SceneSpec, fps_indices, knn_all, knn_query, synth_scene
 from ambiseg.config import Config
 from ambiseg.network import _stage_sizes, build_geometry
-from oracles import fps_reference, planar_lattice
+from oracles import checker_columns, fps_reference, planar_lattice
 
 
 def brute_knn(positions, anchor, k):
@@ -515,12 +515,29 @@ def test_synth_scene_kinds():
     assert checker.num_classes == 2 and checker.n == 80
 
 
-@pytest.mark.parametrize("sizes", [range(8, 301), (1000, 2040, 4096, 16384, 65536)],
-                         ids=["ppc-8-300", "ppc-large"])
+def assert_scene_is_the_oracle(cloud, ref_pos, ref_lab, ppc):
+    pos, lab = cloud.positions, cloud.labels
+    assert pos.dtype == ref_pos.dtype and lab.dtype == ref_lab.dtype, ppc
+    assert pos.shape == ref_pos.shape and pos.tobytes() == ref_pos.tobytes(), ppc
+    assert lab.tobytes() == ref_lab.tobytes(), ppc
+    assert cloud.num_classes == 2, ppc
+
+
+SCENE_SIZES = pytest.mark.parametrize(
+    "sizes", [range(8, 301), (1000, 2040, 4096, 16384, 65536)], ids=["ppc-8-300", "ppc-large"])
+
+
+@SCENE_SIZES
 def test_planar_lattice_matches_the_loop_oracle_byte_for_byte(sizes):
     for ppc in sizes:
-        pos, lab = cl._planar_lattice(ppc, cl.PLANAR_STEP)
-        ref_pos, ref_lab = planar_lattice(ppc, cl.PLANAR_STEP)
-        assert pos.dtype == ref_pos.dtype and lab.dtype == ref_lab.dtype, ppc
-        assert pos.shape == ref_pos.shape and pos.tobytes() == ref_pos.tobytes(), ppc
-        assert lab.tobytes() == ref_lab.tobytes(), ppc
+        cloud = synth_scene(SceneSpec("planar-boundary", ppc))
+        assert_scene_is_the_oracle(cloud, *planar_lattice(ppc, cl.PLANAR_STEP), ppc)
+
+
+@SCENE_SIZES
+@pytest.mark.parametrize("seed", [0, 5, 701])
+def test_checker_columns_matches_the_loop_oracle_byte_for_byte(sizes, seed):
+    for ppc in sizes:
+        cloud = synth_scene(SceneSpec("checker-columns", ppc, 0.0, seed))
+        ref = checker_columns(ppc, np.random.default_rng(seed))
+        assert_scene_is_the_oracle(cloud, *ref, ppc)

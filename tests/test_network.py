@@ -296,6 +296,18 @@ def test_parameter_gradients_are_owned_arrays_of_the_parameter_shape():
             assert not np.may_share_memory(p.grad, q.grad)
 
 
+def test_training_stops_when_a_running_statistic_is_not_finite():
+    # omega = 1e308 overflows the regressors' running variances: train-mode batch
+    # norm reads batch statistics, so no loss term sees them
+    cloud = synth_scene(SceneSpec("two-rooms", points_per_class=150, noise_sigma=0.02, seed=0))
+    model = SegModel(dataclasses.replace(Config(), epochs=2, omega=1e308), feat_dim0=3,
+                     num_classes=cloud.num_classes)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match=r"^training diverged at epoch 1: apm\d\.l\d\.running_var "
+                                r"is not finite$"):
+        train(model, [cloud])
+
+
 def test_train_rejects_empty_dataset():
     model = SegModel(SMALL, feat_dim0=3, num_classes=2)
     with pytest.raises(ValueError):
