@@ -1,10 +1,10 @@
 """Per-stage MLP regressor of point ambiguity.
 
-Each regressor is a list of six ``LinearBN`` units, the affine -> batch-norm ->
-activation unit the whole network is built from, here with sigmoid
-activations. It maps the concatenated (position, feature) vector down to a
-single value in (0, 1), supervised by mean absolute error against the
-geometric ambiguity.
+Each regressor is a list of six ``LinearBN`` units, the batch norm of an affine
+map (one ``ag.batch_norm`` node) then an activation, the unit the whole network
+is built from, here with sigmoid activations. It maps the concatenated
+(position, feature) vector down to a single value in (0, 1), supervised by mean
+absolute error against the geometric ambiguity.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 
 
 class LinearBN:
-    """affine -> batch norm -> activation unit; ``act`` is "relu" or "sigmoid"."""
+    """Batch norm of an affine map, then an activation; ``act`` is "relu" or "sigmoid"."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.w = ag.Tensor(glorot_uniform(rng, d_out, d_in), requires_grad=True)
@@ -36,11 +36,10 @@ class LinearBN:
         """The unit's output; in infer mode a constant ``Tensor`` with no graph.
 
         Nothing differentiates an inference pass, so an infer-mode unit keeps no
-        parents: its affine, batch-norm and activation arrays are freed once the
-        next unit has read its output.
+        parents: its batch-norm and activation arrays are freed once the next unit
+        has read its output.
         """
-        y = ag.affine(x, self.w, self.b)
-        y = ag.batch_norm(y, self.gamma, self.beta, self.bn, mode=mode,
+        y = ag.batch_norm(x, self.w, self.b, self.gamma, self.beta, self.bn, mode=mode,
                           update_running=update_running)
         y = ag.sigmoid(y) if act == "sigmoid" else ag.relu(y)
         return ag.Tensor(y.data) if mode == "infer" else y

@@ -6,11 +6,11 @@ batch_norm, cross_entropy, contrast_loss and mae. Every graph node in the
 library comes from one of them. No operator overloading and no general
 broadcasting.
 
-``neighborhood_max`` is the whole set-abstraction encoder unit: affine, batch
-norm, ReLU and the max over each group of k neighbour rows, as one node that
-keeps one (rows, d) array for its backward. It is bit-identical to that chain of
-four nodes, whose affine and batch-norm code it shares, and it keeps the name of
-the group max it absorbed, the one step of the chain that only the encoder uses.
+``batch_norm`` is batch norm of the affine map x @ w.T + b, as one node that
+normalises the affine output in place. ``neighborhood_max`` is the whole encoder
+unit: that batch norm, ReLU and the max over each group of k neighbour rows, as
+one node, bit-identical to that chain of three and sharing its code; it keeps
+the name of the group max it absorbed, which only the encoder used.
 
 Ownership rule: a backward closure hands ``_accum`` an array it owns, never
 ``g`` itself or a view of it. The first ``_accum`` on a node keeps that array
@@ -119,7 +119,7 @@ def _affine_forward(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
     return out
 
 
-def _affine_backward(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
+def _affine_backward(g: np.ndarray | None, x: Tensor, w: Tensor, b: Tensor) -> None:
     if x.requires_grad:
         x._accum(g @ w.data)
     if w.requires_grad:
@@ -215,44 +215,42 @@ class BatchNormState:
     running_var: np.ndarray
 
 
-def _bn_forward(xd: np.ndarray, xhat: np.ndarray, gamma: Tensor, beta: Tensor,
-                state: BatchNormState, mode: str, update_running: bool):
-    """Batch-norm statistics of ``xd`` and its output.
+def _bn_forward(xhat: np.ndarray, gamma: Tensor, beta: Tensor, state: BatchNormState,
+                mode: str, update_running: bool):
+    """Batch-norm statistics of ``xhat``, which it normalises in place, and its output.
 
-    Writes the normalised input into ``xhat``, which may be ``xd`` itself, and
-    returns 1 / sqrt(var + BN_EPS) and the output gamma * xhat + beta as a new array.
+    Returns 1 / sqrt(var + BN_EPS) and the output gamma * xhat + beta as a new array.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "train":
-        mean = xd.mean(axis=0)
-        np.subtract(xd, mean, out=xhat)
+        mean = xhat.mean(axis=0)
+        xhat -= mean
         # np.var's float sequence: the mean of the squared deviations
-        out = np.multiply(xhat, xhat)
-        var = out.sum(axis=0) / xd.shape[0]
+        var = np.multiply(xhat, xhat).sum(axis=0) / xhat.shape[0]
         if update_running:
             state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
             state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
     else:
         var = state.running_var
-        np.subtract(xd, state.running_mean, out=xhat)
-        out = np.empty_like(xd)
+        xhat -= state.running_mean
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
+    out = xhat * gamma.data
     out += beta.data
     return inv, out
 
 
 def _bn_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor,
-                 beta: Tensor, mode: str, input_grad: bool) -> np.ndarray | None:
-    """Accumulate the gradients of gamma and beta; return the input's when asked."""
+                 beta: Tensor, mode: str, inputs: tuple) -> np.ndarray | None:
+    """Accumulate the gradients of gamma and beta; return the input's, or None when no
+    tensor of ``inputs`` (x, w, b of the affine map) requires grad."""
     buf = np.empty_like(g)
     if gamma.requires_grad:
         gamma._accum(np.multiply(g, xhat, out=buf).sum(axis=0))
     if beta.requires_grad:
         beta._accum(np.sum(g, axis=0))
-    if not input_grad:
+    if not any(t.requires_grad for t in inputs):
         return None
     gx = g * gamma.data
     if mode == "train":
@@ -263,22 +261,23 @@ def _bn_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor
     return gx
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-               mode: str = "train", update_running: bool = True) -> Tensor:
-    """Batch normalization over axis 0 with learnable scale/shift.
+def batch_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+               state: BatchNormState, mode: str = "train",
+               update_running: bool = True) -> Tensor:
+    """Batch normalization over axis 0 of the affine map x @ w.T + b, as one node.
 
-    Train mode uses (clamped) batch statistics and blends them into the running
-    stats; infer mode is a pure affine map from the running stats.
+    Train mode uses the batch statistics and blends them into the running stats;
+    infer mode is a pure affine map from the running stats. The backward keeps one
+    (n, d) array, the affine output normalised in place.
     """
-    xhat = np.empty_like(x.data)
-    inv, out = _bn_forward(x.data, xhat, gamma, beta, state, mode, update_running)
+    xhat = _affine_forward(x, w, b)
+    inv, out = _bn_forward(xhat, gamma, beta, state, mode, update_running)
 
     def bwd(g):
-        gx = _bn_backward(g, xhat, inv, gamma, beta, mode, x.requires_grad)
-        if gx is not None:
-            x._accum(gx)
+        gz = _bn_backward(g, xhat, inv, gamma, beta, mode, (x, w, b))
+        _affine_backward(gz, x, w, b)
 
-    return Tensor(out, parents=(x, gamma, beta), backward=bwd)
+    return Tensor(out, parents=(x, w, b, gamma, beta), backward=bwd)
 
 
 def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
@@ -287,13 +286,13 @@ def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tenso
     """One set-abstraction unit: affine, batch norm and ReLU over each group of k
     consecutive rows, then the max over the group: (groups*k, d_in) -> (groups, d).
 
-    Bit for bit the chain ``relu(batch_norm(affine(x, w, b), ...))`` followed by a
-    max over each group, with its gradients. It normalises the affine output in
+    Bit for bit the chain ``relu(batch_norm(x, w, b, ...))`` followed by a max
+    over each group, with its gradients. It normalises the affine output in
     place and keeps only that one (rows, d) array, the picked rows and their ReLU
     mask for the backward.
     """
     xhat = _affine_forward(x, w, b)
-    inv, y = _bn_forward(xhat, xhat, gamma, beta, state, mode, update_running)
+    inv, y = _bn_forward(xhat, gamma, beta, state, mode, update_running)
     y = y.reshape(groups, k, -1)
     # The ReLU output's argmax: the pre-activation argmax where that maximum is
     # positive, else row 0, since argmax over a group of +-0 picks its first row.
@@ -306,11 +305,9 @@ def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tenso
     def bwd(g):
         gy = np.zeros((groups, k, xhat.shape[1]))
         np.put_along_axis(gy, arg[:, None, :], (g * mask)[:, None, :], axis=1)
-        gz = _bn_backward(gy.reshape(xhat.shape), xhat, inv, gamma, beta, mode,
-                          x.requires_grad or w.requires_grad or b.requires_grad)
+        gz = _bn_backward(gy.reshape(xhat.shape), xhat, inv, gamma, beta, mode, (x, w, b))
         del gy
-        if gz is not None:
-            _affine_backward(gz, x, w, b)
+        _affine_backward(gz, x, w, b)
 
     return Tensor(sel * mask, parents=(x, w, b, gamma, beta), backward=bwd)
 

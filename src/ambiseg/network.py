@@ -279,30 +279,32 @@ def train(model: SegModel, clouds: list[PointCloud],
     velocity = [np.zeros_like(p.data) for p in params]
     geometries = [build_geometry(c, cfg) for c in clouds]
     history: list[LossReport] = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
-        last_report = None
-        for cloud, geometry in zip(clouds, geometries):
-            for _ in range(steps_per_epoch):
-                ag.zero_grads(params)
-                result = forward(model, cloud, mode="train", geometry=geometry)
-                total, report = loss_joint(model, result, cloud.labels)
-                blown = _first_non_finite(report)
-                if blown:
-                    raise RuntimeError(f"training diverged at epoch {epoch}: {blown}")
-                ag.backward(total)
-                for p, v in zip(params, velocity):
-                    if p.grad is not None:
-                        v *= 0.9
-                        v += p.grad
-                        p.data -= lr * v
-                last_report = report
-        # Running batch-norm statistics never reach the loss: check what a checkpoint holds.
-        blown = next((name for name, a in model.named_arrays().items()
-                      if not np.isfinite(a).all()), None)
-        if blown:
-            raise RuntimeError(f"training diverged at epoch {epoch}: {blown} is not finite")
-        history.append(last_report)
+    # the two divergence checks below report an overflow in one line; numpy's would repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
+            last_report = None
+            for cloud, geometry in zip(clouds, geometries):
+                for _ in range(steps_per_epoch):
+                    ag.zero_grads(params)
+                    result = forward(model, cloud, mode="train", geometry=geometry)
+                    total, report = loss_joint(model, result, cloud.labels)
+                    blown = _first_non_finite(report)
+                    if blown:
+                        raise RuntimeError(f"training diverged at epoch {epoch}: {blown}")
+                    ag.backward(total)
+                    for p, v in zip(params, velocity):
+                        if p.grad is not None:
+                            v *= 0.9
+                            v += p.grad
+                            p.data -= lr * v
+                    last_report = report
+            # Running batch-norm statistics never reach the loss: check what a checkpoint holds.
+            blown = next((name for name, a in model.named_arrays().items()
+                          if not np.isfinite(a).all()), None)
+            if blown:
+                raise RuntimeError(f"training diverged at epoch {epoch}: {blown} is not finite")
+            history.append(last_report)
     return history
 
 

@@ -8,8 +8,8 @@ scenes, ``fps_reference`` for
 farthest point sampling, and the ``*_text`` writers and ``ambiguity_color`` for
 the per-point text outputs. ``tsum`` and ``mul`` give gradient tests a scalar
 objective without adding primitives to ``ambiseg.autograd``; ``group_max`` and
-``encoder_chain`` restate ``ag.neighborhood_max`` as the unfused affine -> batch
-norm -> ReLU -> max chain of graph nodes.
+``encoder_chain`` restate ``ag.neighborhood_max`` as the unfused batch norm of
+the affine map -> ReLU -> max chain of graph nodes.
 """
 import math
 
@@ -58,8 +58,8 @@ def group_max(x: ag.Tensor, groups: int, k: int) -> ag.Tensor:
 
 
 def encoder_chain(x, w, b, gamma, beta, state, groups, k, mode="train", update_running=True):
-    """``ag.neighborhood_max`` as four graph nodes: affine, batch norm, ReLU, group max."""
-    z = ag.batch_norm(ag.affine(x, w, b), gamma, beta, state, mode, update_running)
+    """``ag.neighborhood_max`` as three graph nodes: affine batch norm, ReLU, group max."""
+    z = ag.batch_norm(x, w, b, gamma, beta, state, mode, update_running)
     return group_max(ag.relu(z), groups, k)
 
 

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -141,22 +142,24 @@ def test_neighborhood_max_is_bit_identical_to_the_unfused_chain(mode, x_grad):
 
 def test_batch_norm_train_gradients_and_running_stats():
     rng = np.random.default_rng(5)
-    x = ag.Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    x = ag.Tensor(rng.normal(size=(8, 2)), requires_grad=True)
+    w = ag.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = ag.Tensor(rng.normal(size=3), requires_grad=True)
     gamma = ag.Tensor(np.ones(3) * 1.3, requires_grad=True)
     beta = ag.Tensor(np.zeros(3) + 0.1, requires_grad=True)
     state = ag.BatchNormState(running_mean=np.zeros(3), running_var=np.ones(3))
 
     def f():
-        return tsum(mul(ag.batch_norm(x, gamma, beta, state, mode="train",
-                                            update_running=False),
-                              ag.Tensor(rng_weights)))
+        return tsum(mul(ag.batch_norm(x, w, b, gamma, beta, state, mode="train",
+                                      update_running=False),
+                        ag.Tensor(rng_weights)))
 
     rng_weights = rng.normal(size=(8, 3))
-    assert check(f, [x, gamma, beta]) <= 1e-7
+    assert check(f, [x, w, b, gamma, beta]) <= 1e-7
     # running stats stay frozen with update_running=False, then blend in
     np.testing.assert_array_equal(state.running_mean, np.zeros(3))
-    ag.batch_norm(x, gamma, beta, state, mode="train", update_running=True)
-    expected = 0.1 * x.data.mean(axis=0)
+    ag.batch_norm(x, w, b, gamma, beta, state, mode="train", update_running=True)
+    expected = 0.1 * (x.data @ w.data.T + b.data).mean(axis=0)
     np.testing.assert_allclose(state.running_mean, expected, atol=1e-15)
 
 
@@ -164,15 +167,18 @@ def test_batch_norm_infer_uses_running_stats():
     state = ag.BatchNormState(running_mean=np.array([1.0, -1.0]),
                               running_var=np.array([4.0, 0.25]))
     x = ag.Tensor(np.array([[1.0, -1.0], [3.0, 0.0]]), requires_grad=True)
+    w = ag.Tensor(np.array([[1.0, 2.0], [0.0, -1.0]]), requires_grad=True)
+    b = ag.Tensor(np.array([0.5, -0.5]), requires_grad=True)
     gamma = ag.Tensor(np.ones(2), requires_grad=True)
     beta = ag.Tensor(np.zeros(2), requires_grad=True)
-    out = ag.batch_norm(x, gamma, beta, state, mode="infer")
+    out = ag.batch_norm(x, w, b, gamma, beta, state, mode="infer")
     inv = 1.0 / np.sqrt(state.running_var + 1e-5)
-    np.testing.assert_allclose(out.data, (x.data - state.running_mean) * inv)
-    assert check(lambda: tsum(ag.batch_norm(x, gamma, beta, state, mode="infer")),
-                 [x, gamma, beta]) <= 1e-8
+    z = x.data @ w.data.T + b.data
+    np.testing.assert_allclose(out.data, (z - state.running_mean) * inv)
+    assert check(lambda: tsum(ag.batch_norm(x, w, b, gamma, beta, state, mode="infer")),
+                 [x, w, b, gamma, beta]) <= 1e-8
     with pytest.raises(ValueError):
-        ag.batch_norm(x, gamma, beta, state, mode="test")
+        ag.batch_norm(x, w, b, gamma, beta, state, mode="test")
 
 
 def test_cross_entropy():
@@ -249,43 +255,53 @@ def test_weighted_gather_blend():
                                   ag.weighted_rows(x, idx, coef))), [x]) <= 1e-7
 
 
-def textbook_batch_norm(x, gamma, beta, mean_run, var_run, mode, g,
+def textbook_batch_norm(x, w, b, gamma, beta, mean_run, var_run, mode, g,
                         eps=1e-5, momentum=0.9):
-    """Batch norm and its closed-form backward written with np.var, out of place."""
+    """Batch norm of x @ w.T + b and its closed-form backward written with np.var,
+    out of place."""
+    z = x @ w.T + b
     if mode == "train":
-        mean, var = x.mean(axis=0), x.var(axis=0)
+        mean, var = z.mean(axis=0), z.var(axis=0)
         mean_run = momentum * mean_run + (1 - momentum) * mean
         var_run = momentum * var_run + (1 - momentum) * var
     else:
         mean, var = mean_run, var_run
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    out = gamma * xhat + beta
-    gx = g * gamma
+    zhat = (z - mean) * inv
+    out = gamma * zhat + beta
+    gz = g * gamma
     if mode == "train":
-        gx = inv * (gx - gx.mean(axis=0) - xhat * np.mean(gx * xhat, axis=0))
+        gz = inv * (gz - gz.mean(axis=0) - zhat * np.mean(gz * zhat, axis=0))
     else:
-        gx = gx * inv
-    return out, gx, np.sum(g * xhat, axis=0), np.sum(g, axis=0), mean_run, var_run
+        gz = gz * inv
+    return (out, gz @ w, gz.T @ x, gz.sum(axis=0), np.sum(g * zhat, axis=0), np.sum(g, axis=0),
+            mean_run, var_run)
 
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batch_norm_is_bit_equal_to_the_textbook_formula(mode):
     rng = np.random.default_rng(11)
-    for n, d in [(8, 3), (500, 32), (37, 1)]:
-        x = ag.Tensor(3.0 * rng.normal(size=(n, d)) + 1.0, requires_grad=True)
+    for (n, d_in, d), x_grad in itertools.product([(8, 2, 3), (500, 19, 32), (37, 4, 1),
+                                                   (20, 1, 5)], [True, False]):
+        x = ag.Tensor(3.0 * rng.normal(size=(n, d_in)) + 1.0, requires_grad=x_grad)
+        w = ag.Tensor(rng.normal(size=(d, d_in)), requires_grad=True)
+        b = ag.Tensor(rng.normal(size=d), requires_grad=True)
         gamma = ag.Tensor(rng.normal(size=d), requires_grad=True)
         beta = ag.Tensor(rng.normal(size=d), requires_grad=True)
         state = ag.BatchNormState(rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
         g = rng.normal(size=(n, d))
-        expected = textbook_batch_norm(x.data, gamma.data, beta.data, state.running_mean,
-                                       state.running_var, mode, g)
-        out = ag.batch_norm(x, gamma, beta, state, mode=mode)
+        expected = textbook_batch_norm(x.data, w.data, b.data, gamma.data, beta.data,
+                                       state.running_mean, state.running_var, mode, g)
+        out = ag.batch_norm(x, w, b, gamma, beta, state, mode=mode)
         out._backward(g)
-        got = (out.data, x.grad, gamma.grad, beta.grad, state.running_mean, state.running_var)
-        for name, a, b in zip(("out", "d_x", "d_gamma", "d_beta", "running_mean",
-                               "running_var"), got, expected):
-            np.testing.assert_array_equal(a, b, err_msg=f"{mode} {n}x{d} {name}")
+        assert (x.grad is not None) == x_grad
+        got = (out.data, x.grad, w.grad, b.grad, gamma.grad, beta.grad, state.running_mean,
+               state.running_var)
+        for name, a, e in zip(("out", "d_x", "d_w", "d_b", "d_gamma", "d_beta",
+                               "running_mean", "running_var"), got, expected):
+            if x_grad or name != "d_x":
+                np.testing.assert_array_equal(
+                    a, e, err_msg=f"{mode} {n}x{d_in}->{d} x_grad={x_grad} {name}")
 
 
 def test_sigmoid_is_bit_equal_to_the_two_branch_formula():

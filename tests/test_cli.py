@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -325,6 +326,25 @@ def test_divergence_names_the_loss_term(tmp_path, capsys, monkeypatch, term, sta
     assert run(["train", "--in", str(cloud_path), "--out", str(tmp_path / "m.ckpt")]
                + TINY) == cli.EXIT_RUNTIME
     assert _one_error_line(capsys) == f"runtime failure: {message}\n"
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("lr=1e300", r"l_ce = nan"),
+    ("lr=1e100", r"enc\d\.running_var is not finite"),
+    ("omega=1e308", r"apm\d\.l\d\.running_var is not finite"),
+], ids=["lr=1e300", "lr=1e100", "omega=1e308"])
+def test_diverging_train_prints_one_line_and_writes_nothing(tmp_path, capsys, pair, message):
+    # Tier-1 turns numpy's RuntimeWarning into an error, so an overflow warning
+    # raised inside the epoch loop would escape cli.main here.
+    scene = tmp_path / "scene.txt"
+    run(["synth", "--kind", "two-rooms", "--points-per-class", "150", "--noise-sigma", "0.02",
+         "--seed", "0", "--out", str(scene)])
+    capsys.readouterr()
+    assert run(["train", "--in", str(scene), "--out", str(tmp_path / "m.ckpt"),
+                "--set", "epochs=2", "--set", pair]) == cli.EXIT_RUNTIME
+    assert re.fullmatch(rf"runtime failure: training diverged at epoch 1: {message}\n",
+                        _one_error_line(capsys))
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.txt"]
 
 
 FROZEN_CKPT = Path(__file__).parent / "data" / "frozen_model.ckpt"

@@ -250,7 +250,7 @@ def _train_graph(cfg: Config) -> Counter:
     return counts
 
 
-TRAIN_GRAPH = {"add": 4, "affine": 15, "batch_norm": 14, "concat_cols": 4, "contrast_loss": 2,
+TRAIN_GRAPH = {"add": 4, "affine": 1, "batch_norm": 14, "concat_cols": 4, "contrast_loss": 2,
                "cross_entropy": 1, "gather_rows": 2, "mae": 2, "neighborhood_max": 2,
                "relu": 2, "scale": 5, "sigmoid": 12, "weighted_rows": 2}
 
@@ -259,11 +259,11 @@ def test_train_step_graph_is_pinned():
     # The detached infer-mode regressor adds nodes the loss never reaches.
     counts = _train_graph(Config())
     assert dict(counts) == TRAIN_GRAPH
-    assert sum(counts.values()) == 67
+    assert sum(counts.values()) == 53
     # epsilon_lo = 0 puts every point in the refinement band: one blend per stage
     refined = _train_graph(Config(epsilon_lo=0.0))
     assert dict(refined) == TRAIN_GRAPH | {"weighted_rows": 4}
-    assert sum(refined.values()) == 69
+    assert sum(refined.values()) == 55
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -302,9 +302,9 @@ def test_training_stops_when_a_running_statistic_is_not_finite():
     cloud = synth_scene(SceneSpec("two-rooms", points_per_class=150, noise_sigma=0.02, seed=0))
     model = SegModel(dataclasses.replace(Config(), epochs=2, omega=1e308), feat_dim0=3,
                      num_classes=cloud.num_classes)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            RuntimeError, match=r"^training diverged at epoch 1: apm\d\.l\d\.running_var "
-                                r"is not finite$"):
+    # no errstate here: train silences the overflow warnings its own checks report
+    with pytest.raises(RuntimeError, match=r"^training diverged at epoch 1: "
+                                           r"apm\d\.l\d\.running_var is not finite$"):
         train(model, [cloud])
 
 
