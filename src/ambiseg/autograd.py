@@ -10,7 +10,11 @@ broadcasting.
 normalises the affine output in place. ``neighborhood_max`` is the whole encoder
 unit: that batch norm, ReLU and the max over each group of k neighbour rows, as
 one node, bit-identical to that chain of three and sharing its code; it keeps
-the name of the group max it absorbed, which only the encoder used.
+the name of the group max it absorbed, which only the encoder used. For its
+train-mode backward it keeps x̂, the picked row of each group and channel and
+their ReLU mask; it takes batch norm's sums over the picked rows only, then forms
+one dense array, the affine map's input gradient. A unit of width 1 scatters
+its gradient densely instead, since numpy sums a one-column array pairwise.
 
 Ownership rule: a backward closure hands ``_accum`` an array it owns, never
 ``g`` itself or a view of it. The first ``_accum`` on a node keeps that array
@@ -280,6 +284,40 @@ def batch_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     return Tensor(out, parents=(x, w, b, gamma, beta), backward=bwd)
 
 
+def _picked_bn_backward(gp: np.ndarray, xhat3: np.ndarray, arg: np.ndarray,
+                        inv: np.ndarray, gamma: Tensor, beta: Tensor,
+                        inputs: tuple) -> np.ndarray | None:
+    """``_bn_backward`` in train mode, bit for bit, for the gradient that is ``gp``
+    (groups, d) at the picked rows ``arg`` of each group of ``xhat3`` (groups, k, d)
+    and zero elsewhere, without forming that dense gradient.
+
+    Gamma's and beta's gradients, the mean term and the x̂ projection are axis-0
+    sums over the picked rows; the one dense array is the input gradient. Exact
+    for d >= 2 only: numpy sums an (n, d >= 2) array over axis 0 one row at a time
+    from +0, so skipping the zero rows changes no bit, but an (n, 1) column
+    pairwise.
+    """
+    xp = np.take_along_axis(xhat3, arg[:, None, :], axis=1)[:, 0, :]
+    if gamma.requires_grad:
+        gamma._accum((gp * xp).sum(axis=0))
+    if beta.requires_grad:
+        beta._accum(gp.sum(axis=0))
+    if not any(t.requires_grad for t in inputs):
+        return None
+    n = xhat3.shape[0] * xhat3.shape[1]
+    gx = gp * gamma.data
+    mean = gx.sum(axis=0) / n
+    proj = np.multiply(gx, xp).sum(axis=0) / n
+    # off the picked rows the dense gradient times gamma is 0 * gamma
+    gz = np.multiply(xhat3, proj)
+    np.subtract(0.0 * gamma.data - mean, gz, out=gz)
+    gx -= mean
+    gx -= np.multiply(xp, proj, out=xp)
+    np.put_along_axis(gz, arg[:, None, :], gx[:, None, :], axis=1)
+    gz *= inv
+    return gz.reshape(-1, gz.shape[2])
+
+
 def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
                      state: BatchNormState, groups: int, k: int, mode: str = "train",
                      update_running: bool = True) -> Tensor:
@@ -288,8 +326,13 @@ def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tenso
 
     Bit for bit the chain ``relu(batch_norm(x, w, b, ...))`` followed by a max
     over each group, with its gradients. It normalises the affine output in
-    place and keeps only that one (rows, d) array, the picked rows and their ReLU
-    mask for the backward.
+    place and keeps only that one (rows, d) array x̂, the picked rows ``arg`` and
+    their ReLU mask for the backward. Only the picked row of each group and
+    channel gets a gradient, so the train-mode backward takes gamma's and beta's
+    gradients and batch norm's mean and projection terms as sums over the picked
+    rows, then forms one dense array, the input gradient of the affine map. A unit
+    of width 1 and infer mode scatter the gradient densely and run
+    ``_bn_backward``: at width 1 the picked-row sums would change bits.
     """
     xhat = _affine_forward(x, w, b)
     inv, y = _bn_forward(xhat, gamma, beta, state, mode, update_running)
@@ -303,10 +346,14 @@ def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tenso
     mask = sel > 0
 
     def bwd(g):
-        gy = np.zeros((groups, k, xhat.shape[1]))
-        np.put_along_axis(gy, arg[:, None, :], (g * mask)[:, None, :], axis=1)
-        gz = _bn_backward(gy.reshape(xhat.shape), xhat, inv, gamma, beta, mode, (x, w, b))
-        del gy
+        xhat3 = xhat.reshape(groups, k, -1)
+        if mode == "train" and xhat.shape[1] > 1:
+            gz = _picked_bn_backward(g * mask, xhat3, arg, inv, gamma, beta, (x, w, b))
+        else:
+            gy = np.zeros_like(xhat3)
+            np.put_along_axis(gy, arg[:, None, :], (g * mask)[:, None, :], axis=1)
+            gz = _bn_backward(gy.reshape(xhat.shape), xhat, inv, gamma, beta, mode, (x, w, b))
+            del gy
         _affine_backward(gz, x, w, b)
 
     return Tensor(sel * mask, parents=(x, w, b, gamma, beta), backward=bwd)

@@ -84,8 +84,8 @@ _TEXT = {int: (int, str), str: (str, str),
 _FIELDS = {_FILE_KEY.get(f.name, f.name): f for f in fields(Config)}
 
 
-def _assign(cfg: Config, pair: str, lineno: int, where: str) -> Config:
-    """``cfg`` with one ``key = value`` pair applied; ``where`` prefixes an unknown key."""
+def _assign(cfg: Config, pair: str, where: str) -> Config:
+    """``cfg`` with one ``key = value`` pair applied; ``where`` prefixes its errors."""
     key, _, raw = (part.strip() for part in pair.partition("="))
     if key not in _FIELDS:
         raise ConfigError(f"{where}unknown key {key!r}")
@@ -93,7 +93,7 @@ def _assign(cfg: Config, pair: str, lineno: int, where: str) -> Config:
     try:
         value = _TEXT[type(f.default)][0](raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {raw!r} for key {key!r}") from None
+        raise ConfigError(f"{where}cannot parse value {raw!r} for key {key!r}") from None
     return replace(cfg, **{f.name: value})
 
 
@@ -106,17 +106,17 @@ def parse_config(text: str) -> Config:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        cfg = _assign(cfg, stripped, lineno, f"line {lineno}: ")
+        cfg = _assign(cfg, stripped, f"line {lineno}: ")
     cfg.validate()
     return cfg
 
 
 def apply_overrides(cfg: Config, pairs: list[str]) -> Config:
     """Apply repeated --set key=value overrides."""
-    for i, pair in enumerate(pairs, start=1):
+    for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override {pair!r} is not key=value")
-        cfg = _assign(cfg, pair, i, "")
+        cfg = _assign(cfg, pair, "")
     cfg.validate()
     return cfg
 

@@ -140,6 +140,42 @@ def test_neighborhood_max_is_bit_identical_to_the_unfused_chain(mode, x_grad):
         _node_bytes(encoder_chain, x_grad, mode)
 
 
+def _unit_bytes(node_fn, shape, mode: str, x_grad: bool) -> list[bytes]:
+    """Output, running statistics and gradients of one encoder node on tie-heavy
+    integer inputs with a zero column, as bytes."""
+    groups, k, d_in, d = shape
+    rng = np.random.default_rng(groups * k + d)
+    xd = rng.integers(-2, 3, size=(groups * k, d_in)).astype(float)
+    xd[:, 0] = 0.0
+    x = ag.Tensor(xd, requires_grad=x_grad)
+    w, b, gamma, beta = _encoder_params(rng, d_in, d)
+    gamma.data[::3] *= -1.0
+    state = ag.BatchNormState(running_mean=rng.normal(size=d), running_var=rng.uniform(0.5, 2, d))
+    out = node_fn(x, w, b, gamma, beta, state, groups, k, mode, True)
+    ag.backward(tsum(mul(out, ag.Tensor(rng.normal(size=(groups, d))))))
+    grads = [x.grad] if x_grad else []
+    return [a.tobytes() for a in [out.data, state.running_mean, state.running_var,
+                                  w.grad, b.grad, gamma.grad, beta.grad] + grads]
+
+
+# (groups, k, d_in, d): widths 1, 2, 16 and 32, then the two encoder stages of a
+# 2,000-point cloud under the default config
+UNIT_SHAPES = [(40, 6, 3, 1), (40, 6, 3, 2), (40, 6, 5, 16), (30, 8, 7, 32),
+               (500, 24, 6, 16), (125, 24, 19, 32)]
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("shape", UNIT_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_neighborhood_max_backward_is_byte_equal_to_the_chain_at_every_width(shape, mode,
+                                                                               x_grad):
+    # The train-mode backward sums over the picked rows only, which is exact
+    # because numpy sums an (n, d >= 2) array over axis 0 row by row; at width 1 it
+    # must keep the dense path, since numpy sums an (n, 1) column pairwise.
+    assert _unit_bytes(ag.neighborhood_max, shape, mode, x_grad) == \
+        _unit_bytes(encoder_chain, shape, mode, x_grad)
+
+
 def test_batch_norm_train_gradients_and_running_stats():
     rng = np.random.default_rng(5)
     x = ag.Tensor(rng.normal(size=(8, 2)), requires_grad=True)

@@ -281,6 +281,19 @@ def test_bad_config_values_exit_1_with_one_line(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("pairs, raw, key", [(["k=abc"], "abc", "k"),
+                                             (["k=3", "beta=zz"], "zz", "beta")])
+def test_unparsable_override_cites_no_line(tmp_path, capsys, pairs, raw, key):
+    # an override has no line number; only a config file's errors cite one
+    cloud_path = tmp_path / "scene.txt"
+    run(["synth", "--kind", "two-rooms", "--points-per-class", "16", "--out", str(cloud_path)])
+    capsys.readouterr()
+    argv = ["train", "--in", str(cloud_path), "--out", str(tmp_path / "m.ckpt")]
+    assert run(argv + [arg for pair in pairs for arg in ("--set", pair)]) == cli.EXIT_USAGE
+    assert _one_error_line(capsys) == f"error: cannot parse value {raw!r} for key {key!r}\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_directory_paths_exit_1_with_one_line(tmp_path, capsys):
     cloud_path = tmp_path / "scene.txt"
     run(["synth", "--kind", "planar-boundary", "--points-per-class", "40",

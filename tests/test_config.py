@@ -89,12 +89,18 @@ def test_text_roundtrip():
 # (bad line, message from parse_config, message from apply_overrides or None for
 # the same). Each bad line sits on line 2 of the file and is the second override.
 BAD_VALUES = [
-    ("k = x", "line 2: cannot parse value 'x' for key 'k'", None),
-    ("k = 1.5", "line 2: cannot parse value '1.5' for key 'k'", None),
-    ("seed = 1e3", "line 2: cannot parse value '1e3' for key 'seed'", None),
-    ("beta = x", "line 2: cannot parse value 'x' for key 'beta'", None),
-    ("dims = 4,a", "line 2: cannot parse value '4,a' for key 'dims'", None),
-    ("apm_detach = maybe", "line 2: cannot parse value 'maybe' for key 'apm_detach'", None),
+    ("k = x", "line 2: cannot parse value 'x' for key 'k'",
+     "cannot parse value 'x' for key 'k'"),
+    ("k = 1.5", "line 2: cannot parse value '1.5' for key 'k'",
+     "cannot parse value '1.5' for key 'k'"),
+    ("seed = 1e3", "line 2: cannot parse value '1e3' for key 'seed'",
+     "cannot parse value '1e3' for key 'seed'"),
+    ("beta = x", "line 2: cannot parse value 'x' for key 'beta'",
+     "cannot parse value 'x' for key 'beta'"),
+    ("dims = 4,a", "line 2: cannot parse value '4,a' for key 'dims'",
+     "cannot parse value '4,a' for key 'dims'"),
+    ("apm_detach = maybe", "line 2: cannot parse value 'maybe' for key 'apm_detach'",
+     "cannot parse value 'maybe' for key 'apm_detach'"),
     ("lam = 0.5", "line 2: unknown key 'lam'", "unknown key 'lam'"),
     ("bogus = 1", "line 2: unknown key 'bogus'", "unknown key 'bogus'"),
     ("words", "line 2: expected 'key = value', got 'words'", "override 'words' is not key=value"),
