@@ -1,5 +1,9 @@
 import inspect
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +271,12 @@ def test_weighted_rows():
             for h in range(4):
                 want += w[:, h, None] * xs[idx[:, h]]
         assert got.tobytes() == want.tobytes(), d
+        # with x needing a gradient the node keeps its backward, and the same bytes
+        node = ag.weighted_rows(ag.Tensor(xs, requires_grad=True), idx, w)
+        assert node._backward is not None and node.data.tobytes() == got.tobytes(), d
+    # an input that needs no gradient makes a node with no backward, nor S
+    node = ag.weighted_rows(ag.Tensor(xs), idx, w)
+    assert node._backward is None and not node.requires_grad and node._parents == ()
 
 
 def with_self_column(nbr, self_coef, nbr_weights):
@@ -338,6 +348,93 @@ def test_batch_norm_is_bit_equal_to_the_textbook_formula(mode):
             if x_grad or name != "d_x":
                 np.testing.assert_array_equal(
                     a, e, err_msg=f"{mode} {n}x{d_in}->{d} x_grad={x_grad} {name}")
+
+
+def colsum_cases():
+    """(name, array, whether ``_colsum`` may take its einsum) for the axis-0 sum kernel."""
+    rng = np.random.default_rng(32)
+    cases = [(f"width {d}", rng.normal(size=(37, d)), d > 1) for d in range(1, 36)]
+    cases += [(f"{n}x{d}", rng.normal(size=(n, d)), d > 1)
+              for n, d in ((12000, 16), (3000, 32), (2000, 16), (500, 1))]
+    zeros = rng.normal(size=(50, 6))
+    zeros[:, [1, 4]] = -0.0
+    cases.append(("all -0 columns", zeros, True))
+    cases.append(("all -0", np.full((9, 3), -0.0), True))
+    cases.append(("one row of -0", np.full((1, 4), -0.0), True))
+    cases.append(("integer ties", rng.integers(-3, 4, size=(400, 7)).astype(float), True))
+    cases.append(("cancelling ties", np.tile([[1e16, -1e16, 1.0], [1.0, 1.0, -1e16]],
+                                             (25, 1)), True))
+    big = np.full((6, 4), 1e308)
+    big[:, 1] *= -1.0
+    big[::2, 2] *= -1.0
+    big[:3, 3] = -big[:3, 3]
+    cases.append(("overflow to +-inf", big, True))
+    special = rng.normal(size=(40, 5))
+    special[3, 0], special[7, 1], special[8, 1] = np.nan, np.inf, -np.inf
+    special[0, 2], special[1, 3] = np.inf, np.nan
+    cases.append(("nan and inf", special, True))
+    wide = rng.normal(size=(60, 20))
+    cases += [("transposed", wide.T, False), ("column slice", wide[:, ::2], False),
+              ("row slice", wide[::3], False), ("F-ordered", np.asfortranarray(wide), False),
+              ("1-d", rng.normal(size=11), False)]
+    return cases
+
+
+def check_colsum() -> None:
+    """``_colsum`` gives ``np.sum(axis=0)``'s bytes on every case; a NaN sum stays NaN."""
+    for name, a, _ in colsum_cases():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = ag._colsum(a), a.sum(axis=0)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), name
+        assert got[~nan].tobytes() == want[~nan].tobytes(), name
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+
+
+def test_colsum_is_byte_equal_to_the_numpy_sum(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for name, a, fast in colsum_cases():
+        calls.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ag._colsum(a)
+        assert calls == (["ij->j"] if fast else []), name
+    monkeypatch.undo()
+    check_colsum()
+
+
+# numpy dispatches its loops on the CPU's SIMD level; this setting takes away AVX-512
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_colsum_is_byte_equal_to_the_numpy_sum_without_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not any(__cpu_features__.get(f) for f in NO_AVX512.split()):
+        pytest.skip(f"this CPU has none of {NO_AVX512}")
+    tests = Path(__file__).parent
+    script = ("import warnings\n"
+              "with warnings.catch_warnings():\n"
+              "    warnings.simplefilter('error', ImportWarning)\n"
+              "    import numpy\n"
+              "import test_autograd\n"
+              "test_autograd.check_colsum()\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+               PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=300)
+    if child.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in child.stderr:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES="
+                    f"{NO_AVX512!r}: {child.stderr.strip().splitlines()[-1]}")
+    assert child.returncode == 0, child.stderr
 
 
 def test_sigmoid_is_bit_equal_to_the_two_branch_formula():

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -493,3 +496,71 @@ def test_overflowing_squared_distances_exit_1_with_one_line(tmp_path, capsys, co
             warnings.simplefilter("error")   # an overflow warning fails the command
             assert run([command, "--in", str(path), "--out", str(out)] + extra) == cli.EXIT_OK
         assert out.exists()
+
+
+def test_smoke_sequence(tmp_path, capsys):
+    """The CLI's end-to-end sequence in one directory: every command's exit code,
+    run-to-run byte-equal outputs, and a one-line refusal that writes no file for
+    each bad input. One repeat runs in a child process."""
+    d = tmp_path
+
+    def ok(*argv):
+        assert run(list(map(str, argv))) == cli.EXIT_OK, argv
+
+    def same(a, b):
+        assert (d / a).read_bytes() == (d / b).read_bytes(), (a, b)
+
+    def refused(out, *argv):
+        capsys.readouterr()
+        assert run(list(map(str, argv))) != cli.EXIT_OK, argv
+        _one_error_line(capsys)
+        assert not (d / out).exists(), argv
+
+    scene, model, refined = d / "scene.txt", d / "model.ckpt", d / "refined.ckpt"
+    ok("synth", "--kind", "two-rooms", "--points-per-class", "150", "--noise-sigma", "0.02",
+       "--seed", "0", "--out", scene)
+    ok("train", "--in", scene, "--out", model, "--set", "epochs=2")
+    for tag in ("", "-again"):
+        ok("predict", "--in", scene, "--checkpoint", model, "--out", d / f"pred{tag}.csv")
+        ok("eval", "--in", scene, "--checkpoint", model, "--out", d / f"eval{tag}.csv")
+    same("pred.csv", "pred-again.csv")
+    same("eval.csv", "eval-again.csv")
+    # a band of [0, 1] refines every point: the masked refinement runs in both modes;
+    # the repeat trains in a fresh process
+    band = ["--set", "epochs=2", "--set", "epsilon_lo=0.0", "--set", "gamma=0.5"]
+    ok("train", "--in", scene, "--out", refined, *band)
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run([sys.executable, "-m", "ambiseg.cli", "train", "--in", str(scene),
+                            "--out", str(d / "refined-again.ckpt"), *band],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == cli.EXIT_OK, child.stderr
+    same("refined.ckpt", "refined-again.ckpt")
+    ok("predict", "--in", scene, "--checkpoint", refined, "--out", d / "refined-pred.csv")
+    ok("eval", "--in", scene, "--checkpoint", refined, "--out", d / "refined-eval.csv")
+    lattice, checker = d / "lattice.txt", d / "checker.txt"
+    ok("synth", "--kind", "planar-boundary", "--points-per-class", "300", "--out", lattice)
+    for tag in ("", "-again"):
+        ok("ambiguity", "--in", lattice, "--out", d / f"ambiguity{tag}.csv",
+           "--ply", d / f"ambiguity{tag}.ply")
+        ok("synth", "--kind", "checker-columns", "--points-per-class", "200",
+           "--noise-sigma", "0.02", "--seed", "3", "--out", d / f"checker{tag}.txt")
+    for name in ("ambiguity.csv", "ambiguity.ply", "checker.txt"):
+        same(name, name.replace(".", "-again."))
+    ok("ambiguity", "--in", checker, "--out", d / "checker-ambiguity.csv")
+    # a diverged model (overflowing running variances, then an overflowing loss) is
+    # not written; a NaN noise level is a usage error, not a noise-free scene
+    for pair in ("omega=1e308", "lr=1e300"):
+        refused("inf.ckpt", "train", "--in", scene, "--out", d / "inf.ckpt",
+                "--set", "epochs=2", "--set", pair)
+    refused("nan.txt", "synth", "--kind", "two-rooms", "--noise-sigma", "nan",
+            "--out", d / "nan.txt")
+    # tied lattice distances, then every point written twice: zero-distance ties
+    # through the ranking and the fallback upsampling rows
+    dup = d / "dup.txt"
+    text = lattice.read_text()
+    dup.write_text(text + "".join(line for line in text.splitlines(keepends=True)
+                                  if not line.startswith("#")))
+    for cloud in (lattice, dup):
+        ok("predict", "--in", cloud, "--checkpoint", model, "--out", d / f"{cloud.stem}-pred.csv")
+        ok("eval", "--in", cloud, "--checkpoint", model, "--out", d / f"{cloud.stem}-eval.csv")

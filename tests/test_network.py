@@ -489,3 +489,45 @@ def test_single_stage_model():
     assert len(history) == 3
     labels, _ = predict(model, cloud)
     assert labels.shape == (cloud.n,)
+
+
+@pytest.mark.parametrize("cfg", [Config(epochs=3), Config(epochs=3, dims=(1, 8)),
+                                 Config(epochs=3, dims=(4, 1)),
+                                 Config(epochs=3, epsilon_lo=0.0, gamma=0.5, apm_detach=False)],
+                         ids=["default", "dims=1,8", "dims=4,1", "band-joint"])
+def test_training_writes_the_same_bytes_with_numpy_column_sums(cfg, monkeypatch):
+    # ag._colsum stands in for every axis-0 sum of the train step: swapping numpy's
+    # own sum back in must change no parameter or running-statistic bit.
+    cloud = synth_scene(SceneSpec("two-rooms", points_per_class=100, noise_sigma=0.02, seed=2))
+    assert cloud.n == 300
+
+    def trained() -> dict[str, bytes]:
+        model = SegModel(cfg, feat_dim0=3, num_classes=cloud.num_classes)
+        train(model, [cloud])
+        return {name: arr.tobytes() for name, arr in model.named_arrays().items()}
+
+    fast = trained()
+    monkeypatch.setattr(ag, "_colsum", lambda a: a.sum(axis=0))
+    assert trained() == fast
+
+
+def test_infer_forward_makes_weighted_rows_nodes_without_a_backward(monkeypatch):
+    cloud = small_cloud()
+    model = SegModel(dataclasses.replace(SMALL, epsilon_lo=0.0, gamma=0.5), feat_dim0=3,
+                     num_classes=cloud.num_classes)
+    geometry = build_geometry(cloud, model.cfg)
+    nodes = {"train": [], "infer": []}
+    real = ag.weighted_rows
+    for mode in ("train", "infer"):
+        def recording(x, idx, weights, mode=mode):
+            out = real(x, idx, weights)
+            nodes[mode].append(out)
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ag, "weighted_rows", recording)
+            forward(model, cloud, mode, geometry)
+    # the decoder's upsampling and the refinement blends of each stage
+    assert len(nodes["infer"]) >= 2 * SMALL.stages
+    assert all(n._backward is None and not n.requires_grad for n in nodes["infer"])
+    assert nodes["train"] and all(n._backward is not None for n in nodes["train"])
