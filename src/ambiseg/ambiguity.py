@@ -45,8 +45,8 @@ def ambiguity_map(labels: np.ndarray, search: tuple[np.ndarray, np.ndarray],
     ``search`` is the (indices, squared distances) pair of ``knn_all(positions,
     K)``, or its first K columns of a wider one; each point's K neighbours are
     its row. Vectorized, but bit-equal to a ``math.exp`` reference on any host:
-    only the closeness sums run in numpy, and each mixed point's sigmoid runs
-    in ``_inverse_sigmoid``.
+    only the closeness sums run in numpy; each mixed point's product with beta
+    runs in Python floats and its sigmoid in ``_inverse_sigmoid``.
     """
     nbrs, d2 = search
     k = nbrs.shape[1]
@@ -59,6 +59,7 @@ def ambiguity_map(labels: np.ndarray, search: tuple[np.ndarray, np.ndarray],
     cc_minus = np.where(n_minus == 0, 0.0, n_minus / np.maximum(d_minus, cfg.dup_epsilon))
     values = np.where(n_plus == 1, 1.0, 0.0)
     mixed = np.flatnonzero((n_plus > 1) & (n_plus < k))
-    gap = cfg.beta * (cc_plus[mixed] - cc_minus[mixed])
-    values[mixed] = [_inverse_sigmoid(z) for z in gap.tolist()]
+    gap = cc_plus[mixed] - cc_minus[mixed]
+    # a Python product past the float range is a silent +-inf, which saturates
+    values[mixed] = [_inverse_sigmoid(cfg.beta * d) for d in gap.tolist()]
     return AmbiguityMap(values=values)

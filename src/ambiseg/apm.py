@@ -35,14 +35,13 @@ class LinearBN:
                  act: str = "relu") -> ag.Tensor:
         """The unit's output; in infer mode a constant ``Tensor`` with no graph.
 
-        Nothing differentiates an inference pass, so an infer-mode unit keeps no
-        parents: its batch-norm and activation arrays are freed once the next unit
-        has read its output.
+        Nothing differentiates an inference pass: infer-mode ``batch_norm`` returns
+        a constant, so its activation is one too, and the unit's arrays are freed
+        once the next unit has read its output.
         """
         y = ag.batch_norm(x, self.w, self.b, self.gamma, self.beta, self.bn, mode=mode,
                           update_running=update_running)
-        y = ag.sigmoid(y) if act == "sigmoid" else ag.relu(y)
-        return ag.Tensor(y.data) if mode == "infer" else y
+        return ag.sigmoid(y) if act == "sigmoid" else ag.relu(y)
 
     def parameters(self):
         return [self.w, self.b, self.gamma, self.beta]

@@ -6,15 +6,21 @@ batch_norm, cross_entropy, contrast_loss and mae. Every graph node in the
 library comes from one of them. No operator overloading and no general
 broadcasting.
 
+A graph is kept only where a gradient can flow: a node none of whose parents
+requires grad is a constant, with no parents and no backward. So a closure of
+one input needs no ``requires_grad`` check; a closure of several checks each.
+
 ``batch_norm`` is batch norm of the affine map x @ w.T + b, as one node that
 normalises the affine output in place. ``neighborhood_max`` is the whole encoder
 unit: that batch norm, ReLU and the max over each group of k neighbour rows, as
 one node, bit-identical to that chain of three and sharing its code; it keeps
-the name of the group max it absorbed, which only the encoder used. For its
-train-mode backward it keeps x̂, the picked row of each group and channel and
-their ReLU mask; it takes batch norm's sums over the picked rows only, then forms
-one dense array, the affine map's input gradient. A unit of width 1 scatters
-its gradient densely instead, since numpy sums a one-column array pairwise.
+the name of the group max it absorbed, which only the encoder used. Infer mode
+builds no graph: both return a constant, since nothing differentiates an
+inference pass. Their train-mode backward is one function, ``_bn_backward``,
+over the rows that carry a gradient: every row for ``batch_norm``, the picked
+row of each group and channel for ``neighborhood_max``. A unit of width 1
+scatters its gradient densely instead, since numpy sums a one-column array
+pairwise.
 
 Every axis-0 sum and mean goes through ``_colsum``: for a C-contiguous array
 of width >= 2 one einsum that adds the rows one at a time from +0, as
@@ -41,9 +47,11 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        flows = any(p.requires_grad for p in parents)
+        self.requires_grad = bool(requires_grad) or flows
+        # a node no gradient can flow through is a constant: no parents, no backward
+        self._parents = parents if flows else ()
+        self._backward = backward if flows else None
 
     @property
     def shape(self):
@@ -110,8 +118,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, c: float) -> Tensor:
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g * c)
+        x._accum(g * c)
 
     return Tensor(x.data * c, parents=(x,), backward=bwd)
 
@@ -168,10 +175,9 @@ def sigmoid(x: Tensor) -> Tensor:
     y /= e
 
     def bwd(g):
-        if x.requires_grad:
-            gy = g * y
-            gy *= 1.0 - y
-            x._accum(gy)
+        gy = g * y
+        gy *= 1.0 - y
+        x._accum(gy)
 
     return Tensor(y, parents=(x,), backward=bwd)
 
@@ -180,8 +186,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g * mask)
+        x._accum(g * mask)
 
     return Tensor(x.data * mask, parents=(x,), backward=bwd)
 
@@ -216,8 +221,7 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(_row_operator(idx[:, None], np.ones((idx.size, 1)), x.data.shape[0]).T @ g)
+        x._accum(_row_operator(idx[:, None], np.ones((idx.size, 1)), x.data.shape[0]).T @ g)
 
     return Tensor(x.data[idx], parents=(x,), backward=bwd)
 
@@ -263,22 +267,40 @@ def _bn_forward(xhat: np.ndarray, gamma: Tensor, beta: Tensor, state: BatchNormS
 
 
 def _bn_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor,
-                 beta: Tensor, mode: str, inputs: tuple) -> np.ndarray | None:
-    """Accumulate the gradients of gamma and beta; return the input's, or None when no
-    tensor of ``inputs`` (x, w, b of the affine map) requires grad."""
+                 beta: Tensor, inputs: tuple, arg: np.ndarray | None = None) -> np.ndarray | None:
+    """Train-mode batch-norm backward over the rows that carry a gradient.
+
+    ``g`` is the gradient at every row of ``xhat`` (rows, d) or, given ``arg``, at
+    the picked row ``arg`` of each group of ``xhat`` (groups, k, d) and zero
+    elsewhere. Accumulates the gradients of gamma and beta; returns the (rows, d)
+    input gradient, or None when no tensor of ``inputs`` (x, w, b of the affine
+    map) requires grad. Gamma's and beta's gradients, the mean term and the x̂
+    projection are axis-0 sums over the rows of ``g`` only, each through
+    ``_colsum``; the one dense array is the input gradient. Skipping the zero rows
+    is exact for d >= 2 only: ``_colsum`` adds the rows of an (n, d >= 2) array one
+    at a time from +0, as ``np.sum`` does, but an (n, 1) column takes ``np.sum``,
+    which sums it pairwise.
+    """
+    xg = xhat if arg is None else np.take_along_axis(xhat, arg[:, None, :], axis=1)[:, 0, :]
     buf = np.empty_like(g)
     if gamma.requires_grad:
-        gamma._accum(_colsum(np.multiply(g, xhat, out=buf)))
+        gamma._accum(_colsum(np.multiply(g, xg, out=buf)))
     if beta.requires_grad:
         beta._accum(_colsum(g))
     if not any(t.requires_grad for t in inputs):
         return None
+    n = xhat.size // xhat.shape[-1]
     gx = g * gamma.data
-    if mode == "train":
-        n = g.shape[0]
-        proj = _colsum(np.multiply(gx, xhat, out=buf)) / n
-        gx -= _colsum(gx) / n
-        gx -= np.multiply(xhat, proj, out=buf)
+    mean = _colsum(gx) / n
+    proj = _colsum(np.multiply(gx, xg, out=buf)) / n
+    gx -= mean
+    gx -= np.multiply(xg, proj, out=buf)
+    if arg is not None:
+        # off the picked rows the dense gradient times gamma is 0 * gamma
+        gz = np.multiply(xhat, proj)
+        np.subtract(0.0 * gamma.data - mean, gz, out=gz)
+        np.put_along_axis(gz, arg[:, None, :], gx[:, None, :], axis=1)
+        gx = gz.reshape(-1, gz.shape[2])
     gx *= inv
     return gx
 
@@ -289,52 +311,18 @@ def batch_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     """Batch normalization over axis 0 of the affine map x @ w.T + b, as one node.
 
     Train mode uses the batch statistics and blends them into the running stats;
-    infer mode is a pure affine map from the running stats. The backward keeps one
-    (n, d) array, the affine output normalised in place.
+    its backward keeps one (n, d) array, the affine output normalised in place.
+    Infer mode is a pure affine map from the running stats and returns a constant.
     """
     xhat = _affine_forward(x, w, b)
     inv, out = _bn_forward(xhat, gamma, beta, state, mode, update_running)
+    if mode == "infer":
+        return Tensor(out)
 
     def bwd(g):
-        gz = _bn_backward(g, xhat, inv, gamma, beta, mode, (x, w, b))
-        _affine_backward(gz, x, w, b)
+        _affine_backward(_bn_backward(g, xhat, inv, gamma, beta, (x, w, b)), x, w, b)
 
     return Tensor(out, parents=(x, w, b, gamma, beta), backward=bwd)
-
-
-def _picked_bn_backward(gp: np.ndarray, xhat3: np.ndarray, arg: np.ndarray,
-                        inv: np.ndarray, gamma: Tensor, beta: Tensor,
-                        inputs: tuple) -> np.ndarray | None:
-    """``_bn_backward`` in train mode, bit for bit, for the gradient that is ``gp``
-    (groups, d) at the picked rows ``arg`` of each group of ``xhat3`` (groups, k, d)
-    and zero elsewhere, without forming that dense gradient.
-
-    Gamma's and beta's gradients, the mean term and the x̂ projection are axis-0
-    sums over the picked rows, each through ``_colsum``; the one dense array is
-    the input gradient. Exact for d >= 2 only: ``_colsum`` adds the rows of an
-    (n, d >= 2) array one at a time from +0, as ``np.sum`` does, so skipping the
-    zero rows changes no bit; an (n, 1) column takes ``np.sum``, which sums it
-    pairwise.
-    """
-    xp = np.take_along_axis(xhat3, arg[:, None, :], axis=1)[:, 0, :]
-    if gamma.requires_grad:
-        gamma._accum(_colsum(gp * xp))
-    if beta.requires_grad:
-        beta._accum(_colsum(gp))
-    if not any(t.requires_grad for t in inputs):
-        return None
-    n = xhat3.shape[0] * xhat3.shape[1]
-    gx = gp * gamma.data
-    mean = _colsum(gx) / n
-    proj = _colsum(np.multiply(gx, xp)) / n
-    # off the picked rows the dense gradient times gamma is 0 * gamma
-    gz = np.multiply(xhat3, proj)
-    np.subtract(0.0 * gamma.data - mean, gz, out=gz)
-    gx -= mean
-    gx -= np.multiply(xp, proj, out=xp)
-    np.put_along_axis(gz, arg[:, None, :], gx[:, None, :], axis=1)
-    gz *= inv
-    return gz.reshape(-1, gz.shape[2])
 
 
 def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
@@ -344,14 +332,13 @@ def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tenso
     consecutive rows, then the max over the group: (groups*k, d_in) -> (groups, d).
 
     Bit for bit the chain ``relu(batch_norm(x, w, b, ...))`` followed by a max
-    over each group, with its gradients. It normalises the affine output in
-    place and keeps only that one (rows, d) array x̂, the picked rows ``arg`` and
-    their ReLU mask for the backward. Only the picked row of each group and
-    channel gets a gradient, so the train-mode backward takes gamma's and beta's
-    gradients and batch norm's mean and projection terms as sums over the picked
-    rows, then forms one dense array, the input gradient of the affine map. A unit
-    of width 1 and infer mode scatter the gradient densely and run
-    ``_bn_backward``: at width 1 the picked-row sums would change bits.
+    over each group, with its gradients; in infer mode, as there, a constant. In
+    train mode it normalises the affine output in place and keeps only that one
+    (rows, d) array x̂, the picked rows ``arg`` and their ReLU mask for the
+    backward. Only the picked row of each group and channel gets a gradient, so
+    ``_bn_backward`` sums over the picked rows only; a unit of width 1 scatters its
+    gradient densely and sums every row, since at width 1 the picked-row sums
+    would change bits.
     """
     xhat = _affine_forward(x, w, b)
     inv, y = _bn_forward(xhat, gamma, beta, state, mode, update_running)
@@ -363,16 +350,18 @@ def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tenso
     arg[top <= 0] = 0
     sel = np.where(top <= 0, y[:, 0, :], top)
     mask = sel > 0
+    if mode == "infer":
+        return Tensor(sel * mask)
 
     def bwd(g):
+        gp = g * mask
         xhat3 = xhat.reshape(groups, k, -1)
-        if mode == "train" and xhat.shape[1] > 1:
-            gz = _picked_bn_backward(g * mask, xhat3, arg, inv, gamma, beta, (x, w, b))
+        if xhat.shape[1] > 1:
+            gz = _bn_backward(gp, xhat3, inv, gamma, beta, (x, w, b), arg)
         else:
-            gy = np.zeros_like(xhat3)
-            np.put_along_axis(gy, arg[:, None, :], (g * mask)[:, None, :], axis=1)
-            gz = _bn_backward(gy.reshape(xhat.shape), xhat, inv, gamma, beta, mode, (x, w, b))
-            del gy
+            gd = np.zeros_like(xhat3)
+            np.put_along_axis(gd, arg[:, None, :], gp[:, None, :], axis=1)
+            gz = _bn_backward(gd.reshape(xhat.shape), xhat, inv, gamma, beta, (x, w, b))
         _affine_backward(gz, x, w, b)
 
     return Tensor(sel * mask, parents=(x, w, b, gamma, beta), backward=bwd)
@@ -389,10 +378,9 @@ def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:
     out = -np.mean(picked)
 
     def bwd(g):
-        if scores.requires_grad:
-            grad = probs.copy()
-            grad[np.arange(n), labels] -= 1.0
-            scores._accum(float(g) * grad / n)
+        grad = probs.copy()
+        grad[np.arange(n), labels] -= 1.0
+        scores._accum(float(g) * grad / n)
 
     return Tensor(out, parents=(scores,), backward=bwd)
 
@@ -406,8 +394,7 @@ def mae(pred: Tensor, target: np.ndarray) -> Tensor:
     out = np.mean(np.abs(diff))
 
     def bwd(g):
-        if pred.requires_grad:
-            pred._accum(float(g) * np.sign(diff) / diff.size)
+        pred._accum(float(g) * np.sign(diff) / diff.size)
 
     return Tensor(out, parents=(pred,), backward=bwd)
 
@@ -425,8 +412,7 @@ def contrast_loss(features: Tensor, nbr: np.ndarray, intra: np.ndarray,
                                     np.asarray(margins, dtype=np.float64), tau)
 
     def bwd(g):
-        if features.requires_grad:
-            features._accum(float(g) * grad_f)
+        features._accum(float(g) * grad_f)
 
     return Tensor(value, parents=(features,), backward=bwd)
 
@@ -434,12 +420,10 @@ def contrast_loss(features: Tensor, nbr: np.ndarray, intra: np.ndarray,
 def weighted_rows(x: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
     """out_i = sum_h weights_{i,h} * x_{idx_{i,h}} with constant weights: one
     ``_row_operator`` S, applied as ``S @ x`` forward and ``S.T @ g`` backward. When
-    x needs no gradient (every infer-mode call) the node has no backward and S is
+    x needs no gradient (every infer-mode call) the node is a constant and S is
     freed with the forward."""
     op = _row_operator(np.asarray(idx, dtype=np.int64),
                        np.asarray(weights, dtype=np.float64), x.data.shape[0])
-    if not x.requires_grad:
-        return Tensor(op @ x.data)
 
     def bwd(g):
         x._accum(op.T @ g)

@@ -16,7 +16,8 @@ from ambiseg.ambiguity import AefConfig, ambiguity_map
 from ambiseg.cloud import PointCloud, knn_all
 from ambiseg.config import Config
 from ambiseg.margin import margin_map
-from oracles import ambiguity_csv_text, eval_csv_text, ply_text, predict_csv_text
+from oracles import (ambiguity_csv_text, eval_csv_text, partition, ply_text, point_ambiguity,
+                     predict_csv_text)
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +70,31 @@ def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
     assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest().startswith("440fe190c594a720")
     assert hashlib.sha256(ply_path.read_bytes()).hexdigest().startswith("1d5f0003070c552a")
+
+
+def test_a_huge_beta_saturates_without_a_warning(tmp_path, capsys):
+    # beta * (cc+ - cc-) past the float range saturates each mixed point to 0 or 1,
+    # as the oracle does, with no numpy overflow warning (an error in tier-1)
+    cloud_path, csv_path = tmp_path / "s.txt", tmp_path / "a.csv"
+    ckpt_path, eval_path = tmp_path / "m.ckpt", tmp_path / "e.csv"
+    assert run(["synth", "--kind", "two-rooms", "--points-per-class", "50",
+                "--noise-sigma", "0.02", "--out", str(cloud_path)]) == 0
+    huge = ["--set", "beta=1e308"]
+    assert run(["ambiguity", "--in", str(cloud_path), "--out", str(csv_path), *huge]) == 0
+    assert run(["train", "--in", str(cloud_path), "--out", str(ckpt_path), *TINY[:-1],
+                "epochs=1", *huge]) == 0
+    assert run(["eval", "--in", str(cloud_path), "--checkpoint", str(ckpt_path),
+                "--out", str(eval_path)]) == 0
+    assert capsys.readouterr().err == ""
+    cloud = aio.read_cloud(cloud_path)
+    k = Config().k
+    mixed = [i for i in range(cloud.n)
+             if 1 < partition(cloud.positions, cloud.labels, i, k)[1].sum() < k]
+    assert mixed
+    want = [point_ambiguity(cloud.positions, cloud.labels, i, k, 1e308) for i in range(cloud.n)]
+    assert {want[i] for i in mixed} == {0.0, 1.0}
+    got = [row.split(",")[4] for row in csv_path.read_text().splitlines()[1:]]
+    assert got == [aio.FLOAT_FORMAT % v for v in want]
 
 
 def test_bad_scene_kind_is_usage_error(tmp_path):

@@ -16,6 +16,7 @@ from ambiseg.network import (SegModel, _stage_sizes, build_geometry, forward,
                              loss_joint, predict, train)
 from ambiseg.refine import refine
 from oracles import cross_mask
+from test_autograd import PRIMITIVES
 
 SMALL = Config(k=8, k_tilde=4, dims=(6, 8), stages=2, seed=0)
 
@@ -250,20 +251,21 @@ def _train_graph(cfg: Config) -> Counter:
     return counts
 
 
-TRAIN_GRAPH = {"add": 4, "affine": 1, "batch_norm": 14, "concat_cols": 4, "contrast_loss": 2,
-               "cross_entropy": 1, "gather_rows": 2, "mae": 2, "neighborhood_max": 2,
+TRAIN_GRAPH = {"add": 4, "affine": 1, "batch_norm": 14, "concat_cols": 3, "contrast_loss": 2,
+               "cross_entropy": 1, "gather_rows": 1, "mae": 2, "neighborhood_max": 2,
                "relu": 2, "scale": 5, "sigmoid": 12, "weighted_rows": 2}
 
 
 def test_train_step_graph_is_pinned():
-    # The detached infer-mode regressor adds nodes the loss never reaches.
+    # The infer-mode regressor and stage 1's gather and concatenation of the
+    # constant input are constants: no node of the graph.
     counts = _train_graph(Config())
     assert dict(counts) == TRAIN_GRAPH
-    assert sum(counts.values()) == 53
+    assert sum(counts.values()) == 51
     # epsilon_lo = 0 puts every point in the refinement band: one blend per stage
     refined = _train_graph(Config(epsilon_lo=0.0))
     assert dict(refined) == TRAIN_GRAPH | {"weighted_rows": 4}
-    assert sum(refined.values()) == 55
+    assert sum(refined.values()) == 53
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -512,22 +514,34 @@ def test_training_writes_the_same_bytes_with_numpy_column_sums(cfg, monkeypatch)
 
 
 def test_infer_forward_makes_weighted_rows_nodes_without_a_backward(monkeypatch):
+    # Nothing differentiates an inference pass: every primitive call in it makes a
+    # constant, but the head's affine map, whose weights require grad.
     cloud = small_cloud()
     model = SegModel(dataclasses.replace(SMALL, epsilon_lo=0.0, gamma=0.5), feat_dim0=3,
                      num_classes=cloud.num_classes)
     geometry = build_geometry(cloud, model.cfg)
     nodes = {"train": [], "infer": []}
-    real = ag.weighted_rows
-    for mode in ("train", "infer"):
-        def recording(x, idx, weights, mode=mode):
-            out = real(x, idx, weights)
-            nodes[mode].append(out)
-            return out
 
+    def recording(mode, name, real):
+        def primitive(*args, **kwargs):
+            out = real(*args, **kwargs)
+            nodes[mode].append((name, out))
+            return out
+        return primitive
+
+    for mode in ("train", "infer"):
         with monkeypatch.context() as mp:
-            mp.setattr(ag, "weighted_rows", recording)
-            forward(model, cloud, mode, geometry)
+            for name in PRIMITIVES:
+                mp.setattr(ag, name, recording(mode, name, getattr(ag, name)))
+            scores = forward(model, cloud, mode, geometry).scores
+    infer = nodes["infer"]
+    assert {name for name, _ in infer} == {"affine", "batch_norm", "concat_cols", "gather_rows",
+                                           "neighborhood_max", "relu", "sigmoid",
+                                           "weighted_rows"}
+    assert [(name, out) for name, out in infer if out._backward is not None] == \
+        [("affine", scores)]
+    assert not any(out._parents or out.requires_grad for _, out in infer if out is not scores)
     # the decoder's upsampling and the refinement blends of each stage
-    assert len(nodes["infer"]) >= 2 * SMALL.stages
-    assert all(n._backward is None and not n.requires_grad for n in nodes["infer"])
-    assert nodes["train"] and all(n._backward is not None for n in nodes["train"])
+    assert sum(name == "weighted_rows" for name, _ in infer) >= 2 * SMALL.stages
+    assert all(out._backward is not None for name, out in nodes["train"]
+               if name == "weighted_rows")
