@@ -31,16 +31,13 @@ class LinearBN:
         self.beta = ag.Tensor(np.zeros(d_out), requires_grad=True)
         self.bn = ag.BatchNormState(running_mean=np.zeros(d_out), running_var=np.ones(d_out))
 
-    def __call__(self, x: ag.Tensor, mode: str, update_running: bool = True,
-                 act: str = "relu") -> ag.Tensor:
-        """The unit's output; in infer mode a constant ``Tensor`` with no graph.
-
-        Nothing differentiates an inference pass: infer-mode ``batch_norm`` returns
-        a constant, so its activation is one too, and the unit's arrays are freed
-        once the next unit has read its output.
+    def __call__(self, x: ag.Tensor, mode: str, act: str = "relu") -> ag.Tensor:
+        """The unit's output. ``mode`` is its one switch: train mode blends the batch
+        statistics into the running ones; infer mode, which nothing differentiates,
+        gives a constant ``Tensor`` with no graph, so the unit's arrays are freed once
+        the next unit has read its output.
         """
-        y = ag.batch_norm(x, self.w, self.b, self.gamma, self.beta, self.bn, mode=mode,
-                          update_running=update_running)
+        y = ag.batch_norm(x, self.w, self.b, self.gamma, self.beta, self.bn, mode=mode)
         return ag.sigmoid(y) if act == "sigmoid" else ag.relu(y)
 
     def parameters(self):
@@ -60,10 +57,16 @@ def init_apm_block(feat_dim: int, rng: np.random.Generator) -> list[LinearBN]:
 
 def block_forward(z, block: list[LinearBN], mode: str = "train",
                   update_running: bool = True) -> ag.Tensor:
-    """Run the block on a (n, 3+D) batch; output is a (n, 1) tensor in (0, 1)."""
+    """Run the block on a (n, 3+D) batch; output is a (n, 1) tensor in (0, 1).
+
+    ``update_running`` is only for perfbench's ``block_forward`` wrapper, which
+    passes it by keyword, always True; it goes with that wrapper (ROADMAP item 2b).
+    """
+    if not update_running:
+        raise ValueError("update_running=False: train mode always updates running statistics")
     x = z if isinstance(z, ag.Tensor) else ag.Tensor(np.asarray(z, dtype=np.float64))
     for layer in block:
-        x = layer(x, mode, update_running, act="sigmoid")
+        x = layer(x, mode, act="sigmoid")
     return x
 
 

@@ -14,13 +14,14 @@ one input needs no ``requires_grad`` check; a closure of several checks each.
 normalises the affine output in place. ``neighborhood_max`` is the whole encoder
 unit: that batch norm, ReLU and the max over each group of k neighbour rows, as
 one node, bit-identical to that chain of three and sharing its code; it keeps
-the name of the group max it absorbed, which only the encoder used. Infer mode
-builds no graph: both return a constant, since nothing differentiates an
-inference pass. Their train-mode backward is one function, ``_bn_backward``,
-over the rows that carry a gradient: every row for ``batch_norm``, the picked
-row of each group and channel for ``neighborhood_max``. A unit of width 1
-scatters its gradient densely instead, since numpy sums a one-column array
-pairwise.
+the name of the group max it absorbed, which only the encoder used. ``mode`` is
+their one switch: train mode always blends the batch statistics into the running
+ones; infer mode normalises by those and, since nothing differentiates an
+inference pass, returns a constant. Their train-mode backward is one function,
+``_bn_backward``, over the rows that carry a gradient: every row for
+``batch_norm``, the picked row of each group and channel for
+``neighborhood_max``. A unit of width 1 scatters its gradient densely instead,
+since numpy sums a one-column array pairwise.
 
 Every axis-0 sum and mean goes through ``_colsum``: for a C-contiguous array
 of width >= 2 one einsum that adds the rows one at a time from +0, as
@@ -239,11 +240,11 @@ class BatchNormState:
     running_var: np.ndarray
 
 
-def _bn_forward(xhat: np.ndarray, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                mode: str, update_running: bool):
+def _bn_forward(xhat: np.ndarray, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str):
     """Batch-norm statistics of ``xhat``, which it normalises in place, and its output.
 
     Returns 1 / sqrt(var + BN_EPS) and the output gamma * xhat + beta as a new array.
+    Train mode blends the batch statistics into ``state``; infer mode reads them.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -253,9 +254,8 @@ def _bn_forward(xhat: np.ndarray, gamma: Tensor, beta: Tensor, state: BatchNormS
         xhat -= mean
         # np.var's float sequence: the mean of the squared deviations
         var = _colsum(np.multiply(xhat, xhat)) / n
-        if update_running:
-            state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
-            state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
+        state.running_mean = BN_MOMENTUM * state.running_mean + (1 - BN_MOMENTUM) * mean
+        state.running_var = BN_MOMENTUM * state.running_var + (1 - BN_MOMENTUM) * var
     else:
         var = state.running_var
         xhat -= state.running_mean
@@ -306,16 +306,15 @@ def _bn_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor
 
 
 def batch_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
-               state: BatchNormState, mode: str = "train",
-               update_running: bool = True) -> Tensor:
+               state: BatchNormState, mode: str = "train") -> Tensor:
     """Batch normalization over axis 0 of the affine map x @ w.T + b, as one node.
 
-    Train mode uses the batch statistics and blends them into the running stats;
-    its backward keeps one (n, d) array, the affine output normalised in place.
+    Train mode uses the batch statistics and always blends them into the running
+    stats; its backward keeps one (n, d) array, the affine output normalised in place.
     Infer mode is a pure affine map from the running stats and returns a constant.
     """
     xhat = _affine_forward(x, w, b)
-    inv, out = _bn_forward(xhat, gamma, beta, state, mode, update_running)
+    inv, out = _bn_forward(xhat, gamma, beta, state, mode)
     if mode == "infer":
         return Tensor(out)
 
@@ -326,22 +325,21 @@ def batch_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def neighborhood_max(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
-                     state: BatchNormState, groups: int, k: int, mode: str = "train",
-                     update_running: bool = True) -> Tensor:
+                     state: BatchNormState, groups: int, k: int, mode: str = "train") -> Tensor:
     """One set-abstraction unit: affine, batch norm and ReLU over each group of k
     consecutive rows, then the max over the group: (groups*k, d_in) -> (groups, d).
 
     Bit for bit the chain ``relu(batch_norm(x, w, b, ...))`` followed by a max
-    over each group, with its gradients; in infer mode, as there, a constant. In
-    train mode it normalises the affine output in place and keeps only that one
-    (rows, d) array x̂, the picked rows ``arg`` and their ReLU mask for the
-    backward. Only the picked row of each group and channel gets a gradient, so
-    ``_bn_backward`` sums over the picked rows only; a unit of width 1 scatters its
-    gradient densely and sums every row, since at width 1 the picked-row sums
-    would change bits.
+    over each group, with its gradients and running statistics; in infer mode, as
+    there, a constant. In train mode it normalises the affine output in place and
+    keeps only that one (rows, d) array x̂, the picked rows ``arg`` and their ReLU
+    mask for the backward. Only the picked row of each group and channel gets a
+    gradient, so ``_bn_backward`` sums over the picked rows only; a unit of width 1
+    scatters its gradient densely and sums every row, since at width 1 the
+    picked-row sums would change bits.
     """
     xhat = _affine_forward(x, w, b)
-    inv, y = _bn_forward(xhat, gamma, beta, state, mode, update_running)
+    inv, y = _bn_forward(xhat, gamma, beta, state, mode)
     y = y.reshape(groups, k, -1)
     # The ReLU output's argmax: the pre-activation argmax where that maximum is
     # positive, else row 0, since argmax over a group of +-0 picks its first row.

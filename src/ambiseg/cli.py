@@ -52,9 +52,7 @@ def cmd_ambiguity(args) -> int:
     search = knn_all(cloud.positions, min(cfg.k, cloud.n))
     amb = ambiguity_map(cloud.labels, search, AefConfig(beta=cfg.beta))
     margins = margin_map(amb.values, cfg.mu, cfg.nu)
-    # With --ply both files print the positions: format them once. The CSV alone is
-    # faster formatting its floats itself.
-    positions = aio.format_floats(cloud.positions) if args.ply else cloud.positions
+    positions = aio.format_floats(cloud.positions)  # one formatting for the CSV and PLY
     aio.write_ambiguity_csv(args.out, positions, amb.values, margins)
     if args.ply:
         aio.write_ply(args.ply, positions, amb.values)

@@ -147,10 +147,9 @@ def write_ply(path: str | Path, positions: np.ndarray, ambiguities: np.ndarray) 
 
 
 def save_checkpoint(path: str | Path, cfg: Config, arrays: dict[str, np.ndarray],
-                    extra: dict[str, int] | None = None) -> None:
+                    extra: dict[str, int]) -> None:
     """Magic, version, serialized config, then named little-endian float64 tensors."""
     cfg_bytes = config_to_text(cfg).encode("utf-8")
-    extra = extra or {}
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

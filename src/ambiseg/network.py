@@ -2,9 +2,9 @@
 
 Encoder stages downsample by farthest point sampling and aggregate neighbor
 features with a shared MLP + max pool: one ``ag.neighborhood_max`` node (affine,
-batch norm, ReLU, then the max over each point's K rows) per stage in train mode,
-one per block of groups in infer mode. Decoder stages upsample by 3-NN
-inverse-squared-distance interpolation: ``cloud.knn_sampled`` picks the three
+batch norm, ReLU, then the max over each point's K rows) per block of groups, in
+one loop; the block is the whole stage in train mode. Decoder stages upsample by
+3-NN inverse-squared-distance interpolation: ``cloud.knn_sampled`` picks the three
 coarse points, the squared distances it ranks by weight them. They fuse skip
 features; decoder stage 0, the head's hidden unit, fuses the input features
 before the linear classifier. ``build_geometry`` gives training and inference
@@ -200,16 +200,14 @@ def forward(model: SegModel, cloud: PointCloud, mode: str,
     pred_amb: dict[int, np.ndarray] = {}
     parent_pos = cloud.positions
     for s, (geo, unit, block) in enumerate(zip(geometry, model.enc, model.apm), 1):
-        if mode == "train":
-            # batch statistics need the whole stage: one block, one graph
-            feats = _encode_groups(unit, parent_pos, skip[-1], geo, slice(None), mode)
-        else:
-            # an infer-mode unit maps each row on its own, so blocks of groups give the
-            # same bits; each block keeps only its (groups, d) max
-            step = max(1, _BLOCK_ELEMS // (geo.enc_nbr.shape[1] * max(unit.w.data.shape)))
-            feats = ag.Tensor(np.concatenate([
-                _encode_groups(unit, parent_pos, skip[-1], geo, slice(lo, lo + step), mode).data
-                for lo in range(0, len(geo.enc_nbr), step)]))
+        # train mode's batch statistics need the whole stage as one block; an infer-mode
+        # unit maps each row on its own, so its blocks of groups give the same bits
+        n_s, k_enc = geo.enc_nbr.shape
+        step = n_s if mode == "train" else max(1, _BLOCK_ELEMS // (k_enc * max(unit.w.data.shape)))
+        blocks = [_encode_groups(unit, parent_pos, skip[-1], geo, slice(lo, lo + step), mode)
+                  for lo in range(0, n_s, step)]
+        feats = (blocks[0] if len(blocks) == 1
+                 else ag.Tensor(np.concatenate([b.data for b in blocks])))
         z_np = np.concatenate([geo.positions, feats.data], axis=1)
         if mode == "train":
             z = (ag.Tensor(z_np) if cfg.apm_detach

@@ -57,9 +57,9 @@ def group_max(x: ag.Tensor, groups: int, k: int) -> ag.Tensor:
     return ag.Tensor(out, parents=(x,), backward=bwd)
 
 
-def encoder_chain(x, w, b, gamma, beta, state, groups, k, mode="train", update_running=True):
+def encoder_chain(x, w, b, gamma, beta, state, groups, k, mode="train"):
     """``ag.neighborhood_max`` as three graph nodes: affine batch norm, ReLU, group max."""
-    z = ag.batch_norm(x, w, b, gamma, beta, state, mode, update_running)
+    z = ag.batch_norm(x, w, b, gamma, beta, state, mode)
     return group_max(ag.relu(z), groups, k)
 
 

@@ -215,14 +215,14 @@ def test_criterion_09_apm_regression(overfit_run):
         velocity = [np.zeros_like(p.data) for p in params]
         for _ in range(500):
             ag.zero_grads(params)
-            out = block_forward(ag.Tensor(z), block, mode="train", update_running=True)
+            out = block_forward(ag.Tensor(z), block, mode="train")
             ag.backward(loss_reg(out, target))
             for p, v in zip(params, velocity):
                 if p.grad is not None:
                     v *= 0.9
                     v += p.grad
                     p.data -= 0.05 * v
-        pred = block_forward(z, block, mode="infer", update_running=False).data[:, 0]
+        pred = block_forward(z, block, mode="infer").data[:, 0]
         maes.append(float(np.mean(np.abs(pred - target))))
     median = float(np.median(maes))
     report(9, "ambiguity regressor error", median <= 0.1,

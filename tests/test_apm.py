@@ -34,7 +34,7 @@ def test_forward_output_in_unit_interval():
     rng = np.random.default_rng(2)
     block = init_apm_block(6, rng)
     z = rng.normal(size=(20, 9))
-    out = block_forward(z, block, mode="train", update_running=False)
+    out = block_forward(z, block, mode="train")
     assert out.data.shape == (20, 1)
     assert np.all((out.data > 0) & (out.data < 1))
     with pytest.raises(ValueError):
@@ -49,10 +49,10 @@ def test_predict_ambiguity_is_detached_copy():
     rng = np.random.default_rng(3)
     block = init_apm_block(4, rng)
     z = rng.normal(size=(10, 7))
-    block_forward(z, block, mode="train", update_running=True)
+    block_forward(z, block, mode="train")
     before = [(layer.bn.running_mean.copy(), layer.bn.running_var.copy())
               for layer in block]
-    pred = block_forward(z, block, mode="infer", update_running=False).data[:, 0]
+    pred = block_forward(z, block, mode="infer").data[:, 0]
     assert isinstance(pred, np.ndarray) and pred.shape == (10,)
     for layer, (mean, var) in zip(block, before):
         np.testing.assert_array_equal(layer.bn.running_mean, mean)
@@ -95,9 +95,26 @@ def test_infer_mode_unit_output_keeps_no_graph():
     rng = np.random.default_rng(4)
     unit = LinearBN(5, 3, rng)
     x = ag.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
-    train = unit(x, "train", update_running=False)
+    train = unit(x, "train")
     assert train._parents and train.requires_grad
     for act in ("relu", "sigmoid"):
-        infer = unit(x, "infer", update_running=False, act=act)
+        infer = unit(x, "infer", act=act)
         assert infer._parents == () and infer._backward is None
         assert not infer.requires_grad
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_block_forward_takes_update_running_only_as_true(mode):
+    # perfbench's block_forward wrapper passes update_running=True by keyword
+    z = np.random.default_rng(6).normal(size=(12, 7))
+    runs = []
+    for kwargs in ({}, {"update_running": True}):
+        block = init_apm_block(4, np.random.default_rng(7))
+        out = block_forward(z, block, mode=mode, **kwargs)
+        runs.append([out.data.tobytes()] + [a.tobytes() for layer in block
+                                            for a in (layer.bn.running_mean, layer.bn.running_var)])
+    assert runs[0] == runs[1]
+    with pytest.raises(ValueError) as err:
+        block_forward(z, init_apm_block(4, np.random.default_rng(7)), mode=mode,
+                      update_running=False)
+    assert str(err.value) and "\n" not in str(err.value)

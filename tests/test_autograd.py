@@ -100,7 +100,7 @@ def test_neighborhood_max():
     for mode in ("train", "infer"):
         state = ag.BatchNormState(running_mean=rng.normal(size=4) * 0.1,
                                   running_var=rng.uniform(0.5, 2.0, size=4))
-        out = ag.neighborhood_max(x, w, b, gamma, beta, state, 4, 3, mode, False)
+        out = ag.neighborhood_max(x, w, b, gamma, beta, state, 4, 3, mode)
         z = x.data @ w.data.T + b.data
         mean, var = ((z.mean(axis=0), z.var(axis=0)) if mode == "train"
                      else (state.running_mean, state.running_var))
@@ -108,7 +108,7 @@ def test_neighborhood_max():
         np.testing.assert_allclose(out.data, y.reshape(4, 3, 4).max(axis=1), atol=1e-12)
         if mode == "train":
             assert check(lambda: tsum(ag.neighborhood_max(x, w, b, gamma, beta, state, 4, 3,
-                                                          mode, False)), params) <= 1e-7
+                                                          mode)), params) <= 1e-7
 
 
 def _node_bytes(node_fn, x_grad: bool, mode: str) -> list[bytes]:
@@ -131,7 +131,7 @@ def _node_bytes(node_fn, x_grad: bool, mode: str) -> list[bytes]:
     w.data[4], b.data[4], beta.data[4] = [1.0, 0.0, 0.0], 0.0, 0.0
     state = ag.BatchNormState(running_mean=rng.normal(size=d), running_var=rng.uniform(0.5, 2, d))
     state.running_mean[4] = 0.0
-    out = node_fn(x, w, b, gamma, beta, state, groups, k, mode, True)
+    out = node_fn(x, w, b, gamma, beta, state, groups, k, mode)
     arrays = [out.data, state.running_mean, state.running_var]
     if mode == "infer":
         return [a.tobytes() for a in arrays]
@@ -159,7 +159,7 @@ def _unit_bytes(node_fn, shape, mode: str, x_grad: bool) -> list[bytes]:
     w, b, gamma, beta = _encoder_params(rng, d_in, d)
     gamma.data[::3] *= -1.0
     state = ag.BatchNormState(running_mean=rng.normal(size=d), running_var=rng.uniform(0.5, 2, d))
-    out = node_fn(x, w, b, gamma, beta, state, groups, k, mode, True)
+    out = node_fn(x, w, b, gamma, beta, state, groups, k, mode)
     arrays = [out.data, state.running_mean, state.running_var]
     if mode == "infer":
         return [a.tobytes() for a in arrays]
@@ -196,17 +196,16 @@ def test_batch_norm_train_gradients_and_running_stats():
     state = ag.BatchNormState(running_mean=np.zeros(3), running_var=np.ones(3))
 
     def f():
-        return tsum(mul(ag.batch_norm(x, w, b, gamma, beta, state, mode="train",
-                                      update_running=False),
+        return tsum(mul(ag.batch_norm(x, w, b, gamma, beta, state, mode="train"),
                         ag.Tensor(rng_weights)))
 
     rng_weights = rng.normal(size=(8, 3))
     assert check(f, [x, w, b, gamma, beta]) <= 1e-7
-    # running stats stay frozen with update_running=False, then blend in
-    np.testing.assert_array_equal(state.running_mean, np.zeros(3))
-    ag.batch_norm(x, w, b, gamma, beta, state, mode="train", update_running=True)
+    # train mode blends the batch mean into the running mean
+    fresh = ag.BatchNormState(running_mean=np.zeros(3), running_var=np.ones(3))
+    ag.batch_norm(x, w, b, gamma, beta, fresh, mode="train")
     expected = 0.1 * (x.data @ w.data.T + b.data).mean(axis=0)
-    np.testing.assert_allclose(state.running_mean, expected, atol=1e-15)
+    np.testing.assert_allclose(fresh.running_mean, expected, atol=1e-15)
 
 
 def test_batch_norm_infer_uses_running_stats():

@@ -70,6 +70,10 @@ def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
     assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest().startswith("440fe190c594a720")
     assert hashlib.sha256(ply_path.read_bytes()).hexdigest().startswith("1d5f0003070c552a")
+    # without --ply the CSV is the same bytes
+    csv_alone = tmp_path / "b.csv"
+    assert run(["ambiguity", "--in", str(cloud_path), "--out", str(csv_alone)]) == 0
+    assert csv_alone.read_bytes() == csv_path.read_bytes()
 
 
 def test_a_huge_beta_saturates_without_a_warning(tmp_path, capsys):
