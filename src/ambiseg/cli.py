@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ambiseg import io as aio
-from ambiseg.ambiguity import AefConfig, ambiguity_map
+from ambiseg.ambiguity import ambiguity_map
 from ambiseg.cloud import SCENE_KINDS, SceneSpec, knn_all, synth_scene
 from ambiseg.config import Config, apply_overrides, parse_config
 from ambiseg.margin import margin_map
@@ -50,7 +50,7 @@ def cmd_ambiguity(args) -> int:
     cfg = _load_config(args)
     cloud = _read_input(args)
     search = knn_all(cloud.positions, min(cfg.k, cloud.n))
-    amb = ambiguity_map(cloud.labels, search, AefConfig(beta=cfg.beta))
+    amb = ambiguity_map(cloud.labels, search, cfg.beta)
     margins = margin_map(amb.values, cfg.mu, cfg.nu)
     positions = aio.format_floats(cloud.positions)  # one formatting for the CSV and PLY
     aio.write_ambiguity_csv(args.out, positions, amb.values, margins)
@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
     pred_labels, _ = predict(model, cloud, search)
     cm = confusion(pred_labels, cloud.labels, cloud.num_classes)
     oa, macc, miou = scores(cm)
-    amb = ambiguity_map(cloud.labels, search, AefConfig(beta=model.cfg.beta))
+    amb = ambiguity_map(cloud.labels, search, model.cfg.beta)
     table = breakdown(pred_labels, cloud.labels, amb.values, cloud.num_classes)
     rows = [("all", cloud.n, miou, macc)] + [(name, *row) for name, row in table.items()]
     aio.write_table(args.out, ["bin,count,miou,macc"], list(zip(*rows)), ",")

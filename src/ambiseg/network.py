@@ -1,22 +1,22 @@
 """Simplified set-abstraction encoder-decoder with the joint training objective.
 
-Encoder stages downsample by farthest point sampling and aggregate neighbor
-features with a shared MLP + max pool: one ``ag.neighborhood_max`` node (affine,
-batch norm, ReLU, then the max over each point's K rows) per block of groups, in
-one loop; the block is the whole stage in train mode. Decoder stages upsample by
-3-NN inverse-squared-distance interpolation: ``cloud.knn_sampled`` picks the three
-coarse points, the squared distances it ranks by weight them. They fuse skip
-features; decoder stage 0, the head's hidden unit, fuses the input features
-before the linear classifier. ``build_geometry`` gives training and inference
-one geometry: each stage's labels, its one ``knn_all`` at ``max(k_tilde, k)``,
-its ambiguities and margins. It reads each stage's sampling, encoder rows and
-upsampling rows from its parent's ``knn_all`` where that gives the same bits:
-the caller's full-cloud search for stage 1 (``ambiseg eval`` passes the one it
-makes for the ambiguity bins), the previous stage's own search after that.
-Every tie rule stays in ``cloud``.
-``forward(model, cloud, mode, geometry)`` loops once down the stages and once up;
-train mode always trains the running statistics. Contrastive, regression, and
-cross-entropy objectives combine into one differentiable total.
+Encoder stages downsample by farthest point sampling and aggregate neighbor features
+with a shared MLP + max pool: one ``ag.neighborhood_max`` node (affine, batch norm,
+ReLU, then the max over each point's K rows) per block of groups, in one loop: the whole
+stage in train mode, blocks equal to within one group in infer mode, where blocks of the
+library's size give one block's bits. Decoder stages upsample by 3-NN
+inverse-squared-distance interpolation: ``cloud.knn_sampled`` picks the three coarse
+points, the squared distances it ranks by weight them. They fuse skip features; decoder
+stage 0, the head's hidden unit, fuses the input features before the linear classifier.
+``build_geometry`` gives training and inference one geometry: each stage's labels, its
+one ``knn_all`` at ``max(k_tilde, k)``, its ambiguities and margins. It reads each
+stage's sampling, encoder rows and upsampling rows from its parent's ``knn_all`` where
+that gives the same bits: the caller's full-cloud search for stage 1 (``ambiseg eval``
+passes the one it makes for the ambiguity bins), the previous stage's own search after
+that. Every tie rule stays in ``cloud``. ``forward(model, cloud, mode, geometry)`` loops
+once down the stages and once up; train mode always trains the running statistics.
+Contrastive, regression, and cross-entropy objectives combine into one differentiable
+total.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ambiseg import autograd as ag
-from ambiseg.ambiguity import AefConfig, ambiguity_map
+from ambiseg.ambiguity import ambiguity_map
 from ambiseg.apm import LinearBN, block_forward, glorot_uniform, init_apm_block, loss_reg
 from ambiseg.cloud import PointCloud, fps_indices, knn_all, knn_query, knn_sampled
 from ambiseg.config import Config
@@ -151,7 +151,7 @@ def build_geometry(cloud: PointCloud, cfg: Config,
         # under the tie rule the first columns of a wider search are the narrower one
         nbrs, nbr_d2 = knn_all(pos, max(kt, k_aef))
         nbr = nbrs[:, :k_aef]
-        amb = ambiguity_map(lab, (nbr, nbr_d2[:, :k_aef]), AefConfig(beta=cfg.beta)).values
+        amb = ambiguity_map(lab, (nbr, nbr_d2[:, :k_aef]), cfg.beta).values
         geoms.append(StageGeometry(
             indices=idx, positions=pos, labels=lab, enc_nbr=enc_nbr, up_idx=up_idx,
             up_w=inv / inv.sum(axis=1, keepdims=True), mr_nbr=nbrs[:, 1:kt],
@@ -200,12 +200,14 @@ def forward(model: SegModel, cloud: PointCloud, mode: str,
     pred_amb: dict[int, np.ndarray] = {}
     parent_pos = cloud.positions
     for s, (geo, unit, block) in enumerate(zip(geometry, model.enc, model.apm), 1):
-        # train mode's batch statistics need the whole stage as one block; an infer-mode
-        # unit maps each row on its own, so its blocks of groups give the same bits
+        # train mode's batch statistics need the whole stage as one block; infer mode maps each
+        # row alone, in ceil(n_s / step) blocks equal to within one group: no short remainder
         n_s, k_enc = geo.enc_nbr.shape
         step = n_s if mode == "train" else max(1, _BLOCK_ELEMS // (k_enc * max(unit.w.data.shape)))
-        blocks = [_encode_groups(unit, parent_pos, skip[-1], geo, slice(lo, lo + step), mode)
-                  for lo in range(0, n_s, step)]
+        parts = -(-n_s // step)
+        blocks = [_encode_groups(unit, parent_pos, skip[-1], geo,
+                                 slice(n_s * i // parts, n_s * (i + 1) // parts), mode)
+                  for i in range(parts)]
         feats = (blocks[0] if len(blocks) == 1
                  else ag.Tensor(np.concatenate([b.data for b in blocks])))
         z_np = np.concatenate([geo.positions, feats.data], axis=1)
@@ -269,40 +271,39 @@ def _first_non_finite(report: LossReport) -> str | None:
 
 def train(model: SegModel, clouds: list[PointCloud],
           steps_per_epoch: int = 1) -> list[LossReport]:
-    """Momentum SGD with cosine learning-rate decay over ``cfg.epochs``; deterministic per seed."""
+    """Momentum SGD with cosine learning-rate decay over ``cfg.epochs``; deterministic per seed.
+    ``clouds`` is ``[cloud]``: a list only because perfbench calls ``train(model, [cloud])``."""
     cfg = model.cfg
-    if not clouds:
-        raise ValueError("training dataset must be non-empty")
+    if len(clouds) != 1:
+        raise ValueError(f"training takes exactly one cloud, got {len(clouds)}")
+    cloud = clouds[0]
     params = model.parameters()
     velocity = [np.zeros_like(p.data) for p in params]
-    geometries = [build_geometry(c, cfg) for c in clouds]
+    geometry = build_geometry(cloud, cfg)
     history: list[LossReport] = []
     # the two divergence checks below report an overflow in one line; numpy's would repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(cfg.epochs):
             lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
-            last_report = None
-            for cloud, geometry in zip(clouds, geometries):
-                for _ in range(steps_per_epoch):
-                    ag.zero_grads(params)
-                    result = forward(model, cloud, mode="train", geometry=geometry)
-                    total, report = loss_joint(model, result, cloud.labels)
-                    blown = _first_non_finite(report)
-                    if blown:
-                        raise RuntimeError(f"training diverged at epoch {epoch}: {blown}")
-                    ag.backward(total)
-                    for p, v in zip(params, velocity):
-                        if p.grad is not None:
-                            v *= 0.9
-                            v += p.grad
-                            p.data -= lr * v
-                    last_report = report
+            for _ in range(steps_per_epoch):
+                ag.zero_grads(params)
+                result = forward(model, cloud, mode="train", geometry=geometry)
+                total, report = loss_joint(model, result, cloud.labels)
+                blown = _first_non_finite(report)
+                if blown:
+                    raise RuntimeError(f"training diverged at epoch {epoch}: {blown}")
+                ag.backward(total)
+                for p, v in zip(params, velocity):
+                    if p.grad is not None:
+                        v *= 0.9
+                        v += p.grad
+                        p.data -= lr * v
             # Running batch-norm statistics never reach the loss: check what a checkpoint holds.
             blown = next((name for name, a in model.named_arrays().items()
                           if not np.isfinite(a).all()), None)
             if blown:
                 raise RuntimeError(f"training diverged at epoch {epoch}: {blown} is not finite")
-            history.append(last_report)
+            history.append(report)
     return history
 
 

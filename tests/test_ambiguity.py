@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambiseg.ambiguity import AefConfig, ambiguity_map
+from ambiseg.ambiguity import ambiguity_map
 from ambiseg.cloud import PointCloud, knn_all
 from ambiseg.config import Config
 from ambiseg.network import build_geometry
 from oracles import partition, point_ambiguity
 
 
-def searched(cloud, k, cfg=AefConfig()):
+def searched(cloud, k, beta=Config().beta):
     """ambiguity_map over the cloud's own K-wide search, as ``ambiseg ambiguity`` runs it."""
-    return ambiguity_map(cloud.labels, knn_all(cloud.positions, k), cfg)
+    return ambiguity_map(cloud.labels, knn_all(cloud.positions, k), beta)
 
 
 def brute_ambiguity(cloud, k, beta, dup_epsilon=1e-9):
@@ -74,32 +74,31 @@ def test_ambiguity_piecewise_branches():
     lonely = searched(PointCloud(pos, np.array([0, 1, 1, 1]), 2), 4)
     assert lonely.values[0] == 1.0
     # point 0: cc+ = 2 / 1 and cc- = 2 / (4 + 4), so the gap is 0.04 * 1.75 = 0.07
-    mixed = searched(PointCloud(pos, np.array([0, 0, 1, 1]), 2), 4, AefConfig(beta=0.04))
+    mixed = searched(PointCloud(pos, np.array([0, 0, 1, 1]), 2), 4, 0.04)
     assert abs(mixed.values[0] - 1.0 / (1.0 + math.exp(0.07))) <= 1e-12
 
 
 def test_ambiguity_map_matches_brute_reference_exactly():
     rng = np.random.default_rng(7)
     c = PointCloud(rng.normal(size=(60, 3)), rng.integers(0, 3, 60), 3)
-    cfg = AefConfig(beta=0.04)
-    got = searched(c, 10, cfg).values
-    expected = brute_ambiguity(c, 10, cfg.beta)
+    beta = 0.04
+    got = searched(c, 10, beta).values
+    expected = brute_ambiguity(c, 10, beta)
     np.testing.assert_array_equal(got, expected)
 
 
 def test_ambiguity_map_matches_per_point_path_bitwise():
     rng = np.random.default_rng(8)
     c = PointCloud(rng.normal(size=(50, 3)), rng.integers(0, 2, 50), 2)
-    cfg = AefConfig()
+    beta = Config().beta
     nbrs, d2 = knn_all(c.positions, 24)
     # a K-wide search, and K-column prefixes of one wider search as build_geometry
     # passes them
-    cases = [(12, searched(c, 12, cfg))] + [
-        (k, ambiguity_map(c.labels, (nbrs[:, :k], d2[:, :k]), cfg)) for k in (2, 5, 12)]
+    cases = [(12, searched(c, 12, beta))] + [
+        (k, ambiguity_map(c.labels, (nbrs[:, :k], d2[:, :k]), beta)) for k in (2, 5, 12)]
     for k, amb in cases:
         for i in range(c.n):
-            assert amb.values[i] == point_ambiguity(c.positions, c.labels, i, k, cfg.beta,
-                                                    cfg.dup_epsilon)
+            assert amb.values[i] == point_ambiguity(c.positions, c.labels, i, k, beta)
 
 
 @pytest.mark.filterwarnings("error")
@@ -108,12 +107,12 @@ def test_overflowing_closeness_gap_saturates_to_zero():
     # and beta * (cc_plus - cc_minus) is about 8e7, far past exp's range
     pos = np.array([[0.0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     c = PointCloud(pos, np.array([0, 0, 1, 1, 0]), 2)
-    cfg = AefConfig()
-    values = searched(c, 4, cfg).values
+    beta = Config().beta
+    values = searched(c, 4, beta).values
     for i in (0, 1):
         _, same, d2 = partition(c.positions, c.labels, i, 4)
         assert same.sum() == 2 and np.sum(d2 * same) == 0.0
-        assert point_ambiguity(c.positions, c.labels, i, 4, cfg.beta, cfg.dup_epsilon) == 0.0
+        assert point_ambiguity(c.positions, c.labels, i, 4, beta) == 0.0
         assert values[i] == 0.0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from ambiseg import cli
 from ambiseg import io as aio
-from ambiseg.ambiguity import AefConfig, ambiguity_map
+from ambiseg.ambiguity import ambiguity_map
 from ambiseg.cloud import PointCloud, knn_all
 from ambiseg.config import Config
 from ambiseg.margin import margin_map
@@ -49,8 +50,7 @@ def test_synth_and_ambiguity_pipeline(tmp_path):
     assert lines[0] == "index,x,y,z,ambiguity,margin"
     assert len(lines) == 161
     cloud = aio.read_cloud(cloud_path)
-    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k),
-                        AefConfig(beta=Config().beta)).values
+    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k), Config().beta).values
     assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
 
 
@@ -63,8 +63,7 @@ def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
     assert run(["ambiguity", "--in", str(cloud_path), "--out", str(csv_path),
                 "--ply", str(ply_path)]) == 0
     cloud = aio.read_cloud(cloud_path)
-    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k),
-                        AefConfig(beta=Config().beta)).values
+    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k), Config().beta).values
     margins = margin_map(amb, Config().mu, Config().nu)
     assert csv_path.read_bytes() == ambiguity_csv_text(cloud, amb, margins).encode()
     assert ply_path.read_bytes() == ply_text(cloud.positions, amb).encode()
@@ -74,6 +73,14 @@ def test_ambiguity_csv_and_ply_bytes_are_pinned(tmp_path):
     csv_alone = tmp_path / "b.csv"
     assert run(["ambiguity", "--in", str(cloud_path), "--out", str(csv_alone)]) == 0
     assert csv_alone.read_bytes() == csv_path.read_bytes()
+    # a non-default beta reaches the map: the oracle's bytes at 0.5, not the default's
+    csv_half = tmp_path / "c.csv"
+    assert run(["ambiguity", "--in", str(cloud_path), "--out", str(csv_half),
+                "--set", "beta=0.5"]) == 0
+    amb = ambiguity_map(cloud.labels, knn_all(cloud.positions, Config().k), 0.5).values
+    margins = margin_map(amb, Config().mu, Config().nu)
+    assert csv_half.read_bytes() == ambiguity_csv_text(cloud, amb, margins).encode()
+    assert csv_half.read_bytes() != csv_path.read_bytes()
 
 
 def test_a_huge_beta_saturates_without_a_warning(tmp_path, capsys):
@@ -242,7 +249,6 @@ def test_predict_csv_matches_in_process_model(tmp_path):
 
 
 def test_predict_and_eval_csvs_match_the_per_row_oracle(tmp_path):
-    from ambiseg.ambiguity import AefConfig, ambiguity_map
     from ambiseg.metrics import breakdown, confusion, scores
     from ambiseg.network import predict
     pred_path, eval_path = tmp_path / "pred.csv", tmp_path / "eval.csv"
@@ -255,11 +261,22 @@ def test_predict_and_eval_csvs_match_the_per_row_oracle(tmp_path):
     labels, amb = predict(model, cloud)
     assert pred_path.read_bytes() == predict_csv_text(labels, amb).encode()
     _, macc, miou = scores(confusion(labels, cloud.labels, cloud.num_classes))
-    a = ambiguity_map(cloud.labels, knn_all(cloud.positions, model.cfg.k),
-                      AefConfig(beta=model.cfg.beta)).values
+    a = ambiguity_map(cloud.labels, knn_all(cloud.positions, model.cfg.k), model.cfg.beta).values
     table = breakdown(labels, cloud.labels, a, cloud.num_classes)
     assert eval_path.read_bytes() == eval_csv_text(cloud.n, miou, macc, table).encode()
     assert "semi,0,nan,nan" in eval_path.read_text()  # an empty bin writes nan
+    # the same arrays saved under beta = 5: eval bins by the checkpoint's beta. A positive
+    # beta keeps each gap's sign, so only saturation into "zero" or "one" moves a point;
+    # at 0.5 none does on this cloud, at 5 eight low points do.
+    beta_ckpt, beta_path = tmp_path / "beta.ckpt", tmp_path / "beta.csv"
+    aio.save_checkpoint(beta_ckpt, dataclasses.replace(model.cfg, beta=5.0), model.named_arrays(),
+                        extra={"feat_dim0": model.feat_dim0, "num_classes": model.num_classes})
+    assert run(["eval", "--in", str(DATA / "frozen_cloud.txt"), "--checkpoint", str(beta_ckpt),
+                "--out", str(beta_path)]) == 0
+    a = ambiguity_map(cloud.labels, knn_all(cloud.positions, model.cfg.k), 5.0).values
+    table = breakdown(labels, cloud.labels, a, cloud.num_classes)
+    assert beta_path.read_bytes() == eval_csv_text(cloud.n, miou, macc, table).encode()
+    assert beta_path.read_bytes() != eval_path.read_bytes()
 
 
 def test_eval_makes_one_full_cloud_neighbour_search(tmp_path, monkeypatch):
